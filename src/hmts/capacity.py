@@ -21,6 +21,7 @@ from importlib import resources
 
 import numpy as np
 
+from ._csv import atomic_writer, read_rows
 from .constellation import Apsk16Params, Constellation, build_16apsk, solution_set
 from .errors import ParameterError, TableError, UnreachableThresholdError
 
@@ -38,10 +39,13 @@ __all__ = [
     "load_thresholds",
     "save_thresholds",
     "default_table",
+    "best_entry",
     "best_single_rate",
 ]
 
 STREAMS = ("single", "HE", "LE")
+
+_TABLE_HEADER = ("modulation", "code_rate", "stream", "threshold_db")
 
 _SINGLE_BITS = {"QPSK": 2, "8PSK": 3, "16APSK": 4}
 
@@ -211,43 +215,31 @@ def load_thresholds(path: str | os.PathLike) -> ThresholdTable:
     offending line number.
     """
     entries = []
-    with open(path, newline="") as fh:
-        header = None
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            if header is None:
-                header = [c.strip() for c in row]
-                if header != ["modulation", "code_rate", "stream", "threshold_db"]:
-                    raise TableError(
-                        f"{path}: line {lineno}: expected header "
-                        f"modulation,code_rate,stream,threshold_db"
-                    )
-                continue
-            if len(row) != 4:
-                raise TableError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
-            mod, rate_s, stream, th_s = (c.strip() for c in row)
-            try:
-                rate = Fraction(rate_s)
-            except (ValueError, ZeroDivisionError):
-                raise TableError(f"{path}: line {lineno}: bad code rate {rate_s!r}") from None
-            try:
-                threshold = float(th_s)
-            except ValueError:
-                raise TableError(f"{path}: line {lineno}: bad threshold {th_s!r}") from None
-            try:
-                entries.append(ModCod(mod, rate, stream, threshold))
-            except TableError as exc:
-                raise TableError(f"{path}: line {lineno}: {exc}") from None
-    if header is None or not entries:
+    for lineno, row in read_rows(path, _TABLE_HEADER, TableError):
+        if len(row) != 4:
+            raise TableError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
+        mod, rate_s, stream, th_s = (c.strip() for c in row)
+        try:
+            rate = Fraction(rate_s)
+        except (ValueError, ZeroDivisionError):
+            raise TableError(f"{path}: line {lineno}: bad code rate {rate_s!r}") from None
+        try:
+            threshold = float(th_s)
+        except ValueError:
+            raise TableError(f"{path}: line {lineno}: bad threshold {th_s!r}") from None
+        try:
+            entries.append(ModCod(mod, rate, stream, threshold))
+        except TableError as exc:
+            raise TableError(f"{path}: line {lineno}: {exc}") from None
+    if not entries:
         raise TableError(f"{path}: no threshold entries found")
     return ThresholdTable(entries)
 
 
 def save_thresholds(table: ThresholdTable, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_writer(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["modulation", "code_rate", "stream", "threshold_db"])
+        writer.writerow(_TABLE_HEADER)
         for e in table.entries:
             writer.writerow(
                 [e.modulation, str(e.code_rate), e.stream, f"{e.threshold_db:.2f}"]
@@ -262,13 +254,22 @@ def default_table() -> ThresholdTable:
         return load_thresholds(path)
 
 
+def best_entry(entries, snr_db: float) -> ModCod | None:
+    """Highest-efficiency entry decodable at ``snr_db``; the first in
+    order wins a tie, and ``None`` means nothing is decodable."""
+    best = None
+    for e in entries:
+        if e.threshold_db <= snr_db and (
+            best is None or e.spectral_efficiency > best.spectral_efficiency
+        ):
+            best = e
+    return best
+
+
 def best_single_rate(table: ThresholdTable, snr_db: float) -> float:
     """Highest single-stream spectral efficiency decodable at ``snr_db``."""
-    best = 0.0
-    for e in table.singles():
-        if e.threshold_db <= snr_db:
-            best = max(best, e.spectral_efficiency)
-    return best
+    best = best_entry(table.singles(), snr_db)
+    return best.spectral_efficiency if best else 0.0
 
 
 def _stream_masks(c: Constellation, stream: str):

@@ -17,6 +17,7 @@ from importlib import resources
 
 import numpy as np
 
+from ._csv import atomic_writer, read_rows
 from .errors import ParameterError
 
 __all__ = [
@@ -39,6 +40,9 @@ __all__ = [
 SPEED_OF_LIGHT = 299_792_458.0
 GEO_ALTITUDE_M = 35_786_000.0
 PROFESSIONAL_OFFSET_DB = 5.0
+
+_WEATHER_HEADER = ("attenuation_db", "cumulative_probability")
+_POPULATION_HEADER = ("snr_db", "class", "weight")
 
 J1_FIRST_ZERO = 3.8317059702075125
 
@@ -222,32 +226,19 @@ class WeatherCdf:
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "WeatherCdf":
         pts = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = None
-            for lineno, row in enumerate(reader, start=1):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                if header is None:
-                    header = [c.strip() for c in row]
-                    if header != ["attenuation_db", "cumulative_probability"]:
-                        raise ParameterError(
-                            f"{path}: line {lineno}: expected header "
-                            "attenuation_db,cumulative_probability"
-                        )
-                    continue
-                try:
-                    pts.append((float(row[0]), float(row[1])))
-                except (ValueError, IndexError):
-                    raise ParameterError(f"{path}: line {lineno}: bad breakpoint {row!r}") from None
+        for lineno, row in read_rows(path, _WEATHER_HEADER, ParameterError):
+            try:
+                pts.append((float(row[0]), float(row[1])))
+            except (ValueError, IndexError):
+                raise ParameterError(f"{path}: line {lineno}: bad breakpoint {row!r}") from None
         if not pts:
             raise ParameterError(f"{path}: no breakpoints found")
         return cls(points=tuple(pts))
 
     def to_csv(self, path: str | os.PathLike) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_writer(path) as fh:
             writer = csv.writer(fh)
-            writer.writerow(["attenuation_db", "cumulative_probability"])
+            writer.writerow(_WEATHER_HEADER)
             for a, p in self.points:
                 writer.writerow([f"{a:.6g}", f"{p:.6g}"])
 
@@ -277,6 +268,8 @@ class Receiver:
     weight: int = 1
 
     def __post_init__(self):
+        if not math.isfinite(self.snr_db):
+            raise ParameterError(f"snr_db must be finite, got {self.snr_db}")
         if self.terminal_class not in ("personal", "professional"):
             raise ParameterError(f"unknown terminal class {self.terminal_class!r}")
         if self.weight < 1:
@@ -335,34 +328,20 @@ def generate_population(
 
 
 def write_population(receivers, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_writer(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["snr_db", "class", "weight"])
+        writer.writerow(_POPULATION_HEADER)
         for r in receivers:
             writer.writerow([f"{r.snr_db:.10g}", r.terminal_class, r.weight])
 
 
 def read_population(path: str | os.PathLike) -> list[Receiver]:
     receivers = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip() for c in row]
-                if header != ["snr_db", "class", "weight"]:
-                    raise ParameterError(
-                        f"{path}: line {lineno}: expected header snr_db,class,weight"
-                    )
-                continue
-            try:
-                receivers.append(
-                    Receiver(float(row[0]), row[1].strip(), int(row[2]))
-                )
-            except (ValueError, IndexError):
-                raise ParameterError(f"{path}: line {lineno}: bad receiver row {row!r}") from None
+    for lineno, row in read_rows(path, _POPULATION_HEADER, ParameterError):
+        try:
+            receivers.append(Receiver(float(row[0]), row[1].strip(), int(row[2])))
+        except (ValueError, IndexError):
+            raise ParameterError(f"{path}: line {lineno}: bad receiver row {row!r}") from None
     if not receivers:
         raise ParameterError(f"{path}: no receivers found")
     return receivers

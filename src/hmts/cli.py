@@ -12,12 +12,12 @@ import csv
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
 
 from . import capacity, channel, pairing, rates, sim
+from ._csv import atomic_writer
 from .constellation import Apsk16Params, build_16apsk, solution_set
 from .errors import DegenerateRateError, ParameterError, TableError
 
@@ -85,28 +85,6 @@ def _resolve_config_path(path_or_name: str) -> str:
     raise ConfigError(f"no such config file or preset: {path_or_name}")
 
 
-def _atomic_writer(path):
-    """Context manager writing CSV via a temp file + rename."""
-
-    class _Writer:
-        def __enter__(self):
-            directory = os.path.dirname(os.path.abspath(path))
-            os.makedirs(directory, exist_ok=True)
-            fd, self.tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            self.fh = os.fdopen(fd, "w", newline="")
-            return self.fh
-
-        def __exit__(self, exc_type, exc, tb):
-            self.fh.close()
-            if exc_type is None:
-                os.replace(self.tmp, path)
-            else:
-                os.unlink(self.tmp)
-            return False
-
-    return _Writer()
-
-
 def _load_table(args) -> capacity.ThresholdTable:
     path = args.table or os.environ.get(TABLE_ENV_VAR)
     if path:
@@ -130,22 +108,14 @@ def cmd_constellation(args) -> int:
     for rho in args.rho or []:
         sol = solution_set(rho, n_samples=args.samples, gamma_cap=args.gamma_cap)
         path = _out_path(args, f"solution_rho{rho:g}.csv")
-        with _atomic_writer(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gamma", "theta_deg"])
-            for g, t in sol.curve:
-                writer.writerow([f"{g:.12g}", f"{t:.12g}"])
+        sol.to_csv(path)
         wrote.append(path)
     if args.gamma is not None or args.theta is not None:
         if args.gamma is None or args.theta is None:
             raise ParameterError("--gamma and --theta must be given together")
         c = build_16apsk(Apsk16Params(gamma=args.gamma, theta_deg=args.theta))
         path = _out_path(args, f"constellation_g{args.gamma:g}_t{args.theta:g}.csv")
-        with _atomic_writer(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["symbol_index", "I", "Q", "bits"])
-            for k, (sym, lab) in enumerate(zip(c.symbols, c.labels)):
-                writer.writerow([k, f"{sym.real:.12g}", f"{sym.imag:.12g}", lab])
+        c.to_csv(path)
         wrote.append(path)
     if not wrote:
         raise ParameterError("nothing to do: give --rho and/or --gamma/--theta")
@@ -164,13 +134,8 @@ def cmd_thresholds(args) -> int:
                 loss_margin_db=args.margin, seed=args.seed,
             )
         )
-    table = capacity.ThresholdTable(entries)
     path = _out_path(args, args.out or "thresholds_estimated.csv")
-    with _atomic_writer(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["modulation", "code_rate", "stream", "threshold_db"])
-        for e in table.entries:
-            writer.writerow([e.modulation, str(e.code_rate), e.stream, f"{e.threshold_db:.2f}"])
+    capacity.save_thresholds(capacity.ThresholdTable(entries), path)
     print(path)
     return 0
 
@@ -191,12 +156,9 @@ def cmd_rates(args) -> int:
         r2 = capacity.best_single_rate(table, max(snr1, snr2))
         r_ts = rates.ts_rate_two(r1, r2).per_receiver_rate
         r_hm = rates.equal_rate_point(points)
-        hull = rates.convex_hull(
-            [(0.0, 0.0)] + [(p.r1, p.r2) for p in points]
-            + [(p.r1, 0.0) for p in points] + [(0.0, p.r2) for p in points]
-        )
+        hull = rates.augmented_hull([(p.r1, p.r2) for p in points])
         path = _out_path(args, f"rates_pair_{snr1:g}_{snr2:g}.csv")
-        with _atomic_writer(path) as fh:
+        with atomic_writer(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["kind", "r1", "r2", "source"])
             for p in points:
@@ -220,7 +182,7 @@ def cmd_rates(args) -> int:
         raise ParameterError("step must be > 0")
     cache = sim.PairRateCache(table)
     path = _out_path(args, "rates_gain_grid.csv")
-    with _atomic_writer(path) as fh:
+    with atomic_writer(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["snr1_db", "snr2_db", "gain"])
         n = int(round((hi - lo) / step))
@@ -258,7 +220,7 @@ def cmd_pairing(args) -> int:
     else:
         plan = pairing.STRATEGIES[args.strategy](snrs)
     path = _out_path(args, f"pairing_{args.strategy}.csv")
-    with _atomic_writer(path) as fh:
+    with atomic_writer(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["receiver_i", "receiver_j", "snr_i_db", "snr_j_db", "delta_db"])
         for i, j in plan.pairs:
@@ -291,11 +253,7 @@ def cmd_simulate(args) -> int:
     if cfg_file.beam:
         beam = channel.BeamConfig(snr_max_db=0.0, **cfg_file.beam)
     out_dir = args.out_dir if args.out_dir != "." else (cfg_file.out_dir or ".")
-    os.makedirs(out_dir, exist_ok=True)
-    population_dir = None
-    if args.dump_populations:
-        population_dir = os.path.join(out_dir, "populations")
-        os.makedirs(population_dir, exist_ok=True)
+    population_dir = os.path.join(out_dir, "populations") if args.dump_populations else None
     report = sim.run_scenario(
         scenario, mode=cfg_file.mode, table=table, weather=weather,
         beam_template=beam, population_dir=population_dir,

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._csv import atomic_writer
 from .errors import ParameterError, SymbolOverlapError
 
 __all__ = [
@@ -151,7 +152,7 @@ class Constellation:
 
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write ``symbol_index,I,Q,bits`` rows."""
-        with open(path, "w", newline="") as fh:
+        with atomic_writer(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["symbol_index", "I", "Q", "bits"])
             for k, (sym, lab) in enumerate(zip(self.symbols, self.labels)):
@@ -172,7 +173,7 @@ class EnergySolution:
         object.__setattr__(self, "curve", curve)
 
     def to_csv(self, path: str | os.PathLike) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_writer(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["gamma", "theta_deg"])
             for g, t in self.curve:

@@ -54,6 +54,9 @@ def _check_even(snrs) -> list[float]:
     snrs = [float(s) for s in snrs]
     if len(snrs) < 2 or len(snrs) % 2:
         raise ParameterError(f"pairing requires an even receiver count >= 2, got {len(snrs)}")
+    bad = [i for i, s in enumerate(snrs) if not math.isfinite(s)]
+    if bad:
+        raise ParameterError(f"pairing requires finite SNRs; receivers {bad} are not")
     return snrs
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .capacity import ThresholdTable, best_single_rate
+from .capacity import ModCod, ThresholdTable, best_entry, best_single_rate
 from .errors import DegenerateRateError, ParameterError
 
 __all__ = [
@@ -23,9 +23,11 @@ __all__ = [
     "ts_rate_n",
     "operating_points",
     "convex_hull",
+    "augmented_hull",
     "equal_rate_point",
     "max_min_weighted",
     "pair_gain",
+    "hierarchical_gain",
 ]
 
 
@@ -113,32 +115,29 @@ def operating_points(snr1: float, snr2: float, table: ThresholdTable) -> list[Ra
     LE stream, decoding the HE stream first.
     """
     s1, s2 = sorted((snr1, snr2))
-
-    def best(modulation: str, stream: str, snr: float):
-        rate, src = 0.0, ""
-        for e in table.entries_for(modulation, stream):
-            if e.threshold_db <= snr and e.spectral_efficiency > rate:
-                rate = e.spectral_efficiency
-                src = f"{e.modulation} {e.code_rate} {e.stream}"
-        return rate, src
-
-    def best_single(snr: float):
-        rate, src = 0.0, "none"
-        for e in table.singles():
-            if e.threshold_db <= snr and e.spectral_efficiency > rate:
-                rate = e.spectral_efficiency
-                src = f"{e.modulation} {e.code_rate}"
-        return rate, src
-
-    r1, src1 = best_single(s1)
-    r2, src2 = best_single(s2)
-    points = [RatePair(r1, 0.0, source=src1), RatePair(0.0, r2, source=src2)]
+    lo = best_entry(table.singles(), s1)
+    hi = best_entry(table.singles(), s2)
+    points = [
+        RatePair(lo.spectral_efficiency if lo else 0.0, 0.0, source=_source(lo)),
+        RatePair(0.0, hi.spectral_efficiency if hi else 0.0, source=_source(hi)),
+    ]
     for mod in table.hierarchical_modulations():
-        he, he_src = best(mod, "HE", s1)
-        le, le_src = best(mod, "LE", s2)
-        if he > 0 and le > 0:
-            points.append(RatePair(he, le, source=f"{he_src} + {le_src}"))
+        he = best_entry(table.entries_for(mod, "HE"), s1)
+        le = best_entry(table.entries_for(mod, "LE"), s2)
+        if he and le:
+            points.append(
+                RatePair(he.spectral_efficiency, le.spectral_efficiency,
+                         source=f"{_source(he)} + {_source(le)}")
+            )
     return points
+
+
+def _source(e: ModCod | None) -> str:
+    if e is None:
+        return "none"
+    if e.stream == "single":
+        return f"{e.modulation} {e.code_rate}"
+    return f"{e.modulation} {e.code_rate} {e.stream}"
 
 
 def convex_hull(points) -> list[tuple[float, float]]:
@@ -163,7 +162,9 @@ def convex_hull(points) -> list[tuple[float, float]]:
     return lower[:-1] + upper[:-1]
 
 
-def _augmented_hull(xy):
+def augmented_hull(xy) -> list[tuple[float, float]]:
+    """Convex hull of the points ``xy``, their axis projections and the
+    origin: the region reachable by time sharing between them."""
     pts = [(0.0, 0.0)]
     for x, y in xy:
         pts.append((x, y))
@@ -188,7 +189,7 @@ def _segment_best_min(p, q) -> float:
 def max_min_weighted(points, w1: float = 1.0, w2: float = 1.0) -> float:
     """max over the hull of time-sharing mixtures of min(x/w1, y/w2)."""
     xy = [(p.r1 / w1, p.r2 / w2) for p in points]
-    hull = _augmented_hull(xy)
+    hull = augmented_hull(xy)
     if len(hull) == 1:
         return min(hull[0])
     best = -math.inf
@@ -222,12 +223,18 @@ def pair_gain(snr1: float, snr2: float, table: ThresholdTable) -> float:
         )
     r_ts = ts_rate_two(r1, r2).per_receiver_rate
     r_hm = equal_rate_point(operating_points(s1, s2, table))
-    gain = r_hm / r_ts - 1.0
-    if gain < 0.0:
-        if gain < -1e-9:
-            raise AssertionError(
-                "hierarchical hull fell below the classical point; "
-                f"gain={gain:.3e}"
-            )
-        gain = 0.0  # rounding: the hull contains the classical segment
-    return gain
+    return hierarchical_gain(r_hm, r_ts)
+
+
+def hierarchical_gain(hier: float, classical: float) -> float:
+    """Relative gain ``hier / classical - 1``, clamped at 0.
+
+    The hull contains the classical points, so a loss beyond rounding
+    (below -1e-9) is a bug and raises.
+    """
+    gain = hier / classical - 1.0
+    if gain < -1e-9:
+        raise AssertionError(
+            f"hierarchical rate fell below the classical rate; gain={gain:.3e}"
+        )
+    return max(gain, 0.0)

@@ -13,17 +13,19 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import ThresholdTable, default_table
+from ._csv import atomic_writer
+from .capacity import ThresholdTable, best_single_rate, default_table
 from .channel import BeamConfig, WeatherCdf, default_weather_cdf, generate_population, write_population
 from .errors import DegenerateRateError, ParameterError
 from .pairing import STRATEGIES
-from .rates import max_min_weighted, operating_points
+from .rates import hierarchical_gain, max_min_weighted, operating_points
 
 __all__ = [
     "ScenarioConfig",
@@ -82,22 +84,19 @@ class GainReport:
     records: tuple[GainRecord, ...]
     mode: str = "homogeneous"
 
-    def configurations(self) -> list[tuple[float, str, float]]:
-        seen: list[tuple[float, str, float]] = []
+    @functools.cached_property
+    def _groups(self) -> dict[tuple[float, str, float], list[float]]:
+        """Gains per (snr_max, strategy, share), in first-seen order."""
+        groups: dict[tuple[float, str, float], list[float]] = {}
         for r in self.records:
-            key = (r.snr_max_db, r.strategy, r.share)
-            if key not in seen:
-                seen.append(key)
-        return seen
+            groups.setdefault((r.snr_max_db, r.strategy, r.share), []).append(r.gain)
+        return groups
 
     def gains(self, snr_max_db: float, strategy: str, share: float = 0.0) -> list[float]:
-        return [
-            r.gain for r in self.records
-            if r.snr_max_db == snr_max_db and r.strategy == strategy and r.share == share
-        ]
+        return list(self._groups.get((snr_max_db, strategy, share), ()))
 
     def mean_gain(self, snr_max_db: float, strategy: str, share: float = 0.0) -> float:
-        g = self.gains(snr_max_db, strategy, share)
+        g = self._groups.get((snr_max_db, strategy, share))
         if not g:
             raise ParameterError(
                 f"no records for snr_max={snr_max_db}, strategy={strategy}, share={share}"
@@ -105,14 +104,13 @@ class GainReport:
         return sum(g) / len(g)
 
     def summary_rows(self) -> list[tuple[float, str, float, float, float, float]]:
-        rows = []
-        for snr, strat, share in self.configurations():
-            g = self.gains(snr, strat, share)
-            rows.append((snr, strat, share, sum(g) / len(g), min(g), max(g)))
-        return rows
+        return [
+            (snr, strat, share, sum(g) / len(g), min(g), max(g))
+            for (snr, strat, share), g in self._groups.items()
+        ]
 
     def to_csv(self, path: str | os.PathLike) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_writer(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["snr_max_db", "strategy", "share", "trial",
@@ -125,7 +123,7 @@ class GainReport:
                 )
 
     def summary_to_csv(self, path: str | os.PathLike) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_writer(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["snr_max_db", "strategy", "share", "mean_gain", "min_gain", "max_gain"]
@@ -148,9 +146,6 @@ class PairRateCache:
     def __init__(self, table: ThresholdTable):
         self.table = table
         self._breaks = sorted({e.threshold_db for e in table.entries})
-        self._singles = sorted(
-            ((e.threshold_db, e.spectral_efficiency) for e in table.singles()),
-        )
         self._pair_cache: dict = {}
         self._single_cache: dict = {}
 
@@ -158,19 +153,19 @@ class PairRateCache:
         return bisect_right(self._breaks, snr_db)
 
     def best_single_rate(self, snr_db: float) -> float:
+        if snr_db != snr_db:
+            raise ParameterError("snr_db must not be NaN")
         b = self._bucket(snr_db)
         try:
             return self._single_cache[b]
         except KeyError:
-            best = 0.0
-            for th, eff in self._singles:
-                if th <= snr_db:
-                    best = max(best, eff)
-            self._single_cache[b] = best
-            return best
+            rate = self._single_cache[b] = best_single_rate(self.table, snr_db)
+            return rate
 
     def pair_rate(self, snr1: float, snr2: float, w1: int = 1, w2: int = 1) -> float:
         """Best common per-receiver rate of a pair (weighted equal rate)."""
+        if snr1 != snr1 or snr2 != snr2:
+            raise ParameterError("snr_db must not be NaN")
         if snr1 > snr2:
             snr1, snr2 = snr2, snr1
             w1, w2 = w2, w1
@@ -230,14 +225,7 @@ def run_trial(receivers, strategy: str, table, seed=0):
             )
             inv_hier += 1.0 / r_pair
     hier = 1.0 / inv_hier
-    gain = hier / classical - 1.0
-    if gain < -1e-9:
-        raise AssertionError(
-            f"hierarchical scheme lost rate ({gain:.3e}); the hull must "
-            "contain the classical points"
-        )
-    gain = max(gain, 0.0)
-    return classical, hier, gain, excluded
+    return classical, hier, hierarchical_gain(hier, classical), excluded
 
 
 def _trial_seed(seed: int, snr_max_db: float, share: float, trial: int) -> np.random.SeedSequence:
@@ -307,14 +295,10 @@ def summarize(report: GainReport, noise_tol: float = 0.005) -> list[dict]:
     (snr_max, share) with the mean gains and the ordering booleans for the
     strategies present in the report.
     """
-    combos: list[tuple[float, float]] = []
-    strategies: list[str] = []
-    for r in report.records:
-        if (r.snr_max_db, r.share) not in combos:
-            combos.append((r.snr_max_db, r.share))
-        if r.strategy not in strategies:
-            strategies.append(r.strategy)
-    strategies = [s for s in "ABCD" if s in strategies]
+    # configurations come first-seen, as in the records
+    combos = list(dict.fromkeys((snr, share) for snr, _, share in report._groups))
+    present = {strategy for _, strategy, _ in report._groups}
+    strategies = [s for s in "ABCD" if s in present]
     rows = []
     for snr, share in combos:
         means = {s: report.mean_gain(snr, s, share) for s in strategies}

@@ -15,6 +15,7 @@ from hmts.capacity import (
     ADOPTED_APSK_GEOMETRY,
     DVBS2_CODE_RATES,
     ModCod,
+    best_entry,
     best_single_rate,
     default_table,
     estimate_threshold,
@@ -306,6 +307,16 @@ class TestBestSingleRate:
         grid = np.arange(-5.0, 16.0, 0.25)
         values = [best_single_rate(table, s) for s in grid]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_best_entry_first_wins_a_tie(self):
+        # 3 * 8/9 and 4 * 2/3 round to the same float
+        psk8 = ModCod("8PSK", Fraction(8, 9), "single", 10.69)
+        apsk = ModCod("16APSK", Fraction(2, 3), "single", 8.97)
+        assert psk8.spectral_efficiency == apsk.spectral_efficiency
+        assert best_entry([psk8, apsk], 11.0) is psk8
+        assert best_entry([apsk, psk8], 11.0) is apsk
+        assert best_entry([psk8, apsk], 10.0) is apsk
+        assert best_entry([psk8, apsk], 8.0) is None
 
 
 class TestAdoptedGeometry:

@@ -225,3 +225,6 @@ class TestPopulationIo:
             Receiver(5.0, "corporate", 1)
         with pytest.raises(ParameterError):
             Receiver(5.0, "personal", 0)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ParameterError):
+                Receiver(bad)

@@ -125,6 +125,34 @@ class TestRatesCommand:
         code, _, err = run_cli(["--out-dir", str(tmp_path), "rates", "pair"], capsys)
         assert code == 2
 
+    def test_pair_text_pins_tie_break_and_hull(self, tmp_path, capsys):
+        # at 6.5 dB QPSK 9/10 and 8PSK 3/5 give 1.8 bit/symbol up to one
+        # ulp (3 * 0.6 rounds below 1.8); QPSK 9/10 names the point
+        code, out, _ = run_cli(
+            ["--out-dir", str(tmp_path), "rates", "pair", "--snr1", "6.5", "--snr2", "10"],
+            capsys,
+        )
+        assert code == 0
+        expected = [
+            "kind,r1,r2,source",
+            "point,1.8,0,QPSK 9/10",
+            "point,0,3,16APSK 3/4",
+            "point,1.2,1.333333333,H16APSK-0.75 3/5 HE + H16APSK-0.75 2/3 LE",
+            "point,1.333333333,1.2,H16APSK-0.80 2/3 HE + H16APSK-0.80 3/5 LE",
+            "point,1.333333333,1,H16APSK-0.85 2/3 HE + H16APSK-0.85 1/2 LE",
+            "point,1.5,0.8,H16APSK-0.90 3/4 HE + H16APSK-0.90 2/5 LE",
+            "hull,0,0,",
+            "hull,1.8,0,",
+            "hull,1.5,0.8,",
+            "hull,1.333333333,1.2,",
+            "hull,0,3,",
+            "r_ts,1.125,1.125,",
+            "r_hm,1.276595745,1.276595745,",
+            "gain,0.134751773,,",
+        ]
+        text = (tmp_path / "rates_pair_6.5_10.csv").read_bytes().decode()
+        assert text == "".join(line + "\r\n" for line in expected)
+
 
 class TestPairingCommand:
     def test_inline_snrs(self, tmp_path, capsys):
@@ -158,6 +186,29 @@ class TestPairingCommand:
             capsys,
         )
         assert code == 2
+
+    def test_nan_snr_exit_2(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["--out-dir", str(tmp_path), "pairing", "--strategy", "A",
+             "--snrs", "nan,1,2,3"],
+            capsys,
+        )
+        assert code == 2
+        assert "finite" in err
+        assert not list(tmp_path.glob("pairing_*.csv"))
+
+    def test_nan_population_row_exit_2(self, tmp_path, capsys):
+        pop_file = tmp_path / "pop.csv"
+        pop_file.write_text(
+            "snr_db,class,weight\n4.0,personal,1\nnan,personal,1\n"
+        )
+        code, _, err = run_cli(
+            ["--out-dir", str(tmp_path), "pairing", "--strategy", "D",
+             "--snrs", str(pop_file)],
+            capsys,
+        )
+        assert code == 2
+        assert "line 3" in err
 
 
 def write_tiny_config(path, **overrides):

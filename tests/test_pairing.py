@@ -51,6 +51,13 @@ class TestStrategyA:
             strategy_a([1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("strategy", [strategy_a, strategy_b, strategy_c, strategy_d])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_snrs_rejected(strategy, bad):
+    with pytest.raises(ParameterError, match="finite"):
+        strategy([bad, 1.0, 2.0, 3.0])
+
+
 class TestStrategyB:
     def test_unique_optimum(self):
         plan = strategy_b([4.0, 4.0, 12.0, 12.0])

@@ -8,6 +8,8 @@ from hmts.channel import Receiver
 from hmts.errors import DegenerateRateError, ParameterError
 from hmts.rates import max_min_weighted, operating_points, pair_gain
 from hmts.sim import (
+    GainRecord,
+    GainReport,
     PairRateCache,
     ScenarioConfig,
     run_scenario,
@@ -51,6 +53,16 @@ class TestPairRateCache:
             assert cache.best_single_rate(snr) == best_single_rate(table, snr)
 
 
+    def test_nan_rejected_without_poisoning(self, table):
+        fresh = PairRateCache(table)
+        with pytest.raises(ParameterError):
+            fresh.best_single_rate(float("nan"))
+        with pytest.raises(ParameterError):
+            fresh.pair_rate(10.0, float("nan"))
+        # a refused NaN files nothing into the top bucket
+        assert fresh.best_single_rate(20.0) == 3.6
+
+
 class TestRunTrial:
     def test_two_receiver_pair_reproduces_pair_gain(self, table, cache):
         pop = [Receiver(7.0), Receiver(10.0)]
@@ -90,6 +102,10 @@ class TestRunTrial:
         with pytest.raises(DegenerateRateError) as err:
             run_trial(pop, "A", cache)
         assert err.value.receivers == (0, 1)
+
+    def test_nan_receiver_rejected(self):
+        with pytest.raises(ParameterError):
+            [Receiver(s) for s in (float("nan"), 20.0, 8.0, 9.0)]
 
     def test_unknown_strategy(self, cache):
         with pytest.raises(ParameterError):
@@ -205,3 +221,18 @@ class TestGainReport:
         rep = run_scenario(small_config(strategies=("A",)), table=table)
         with pytest.raises(ParameterError):
             rep.mean_gain(8.0, "D", 0.0)
+
+    def test_summary_rows_group_in_first_seen_order(self):
+        records = [
+            GainRecord(snr_max_db=snr, strategy=strat, share=0.0, trial=t,
+                       classical_rate=1.0, hier_rate=1.0 + g, gain=g)
+            for t, (snr, strat, g) in enumerate(
+                [(10.0, "D", 0.1), (7.0, "A", 0.2), (10.0, "D", 0.3), (7.0, "A", 0.6)]
+            )
+        ]
+        rep = GainReport(records=tuple(records))
+        assert rep.summary_rows() == [
+            (10.0, "D", 0.0, (0.1 + 0.3) / 2, 0.1, 0.3),
+            (7.0, "A", 0.0, (0.2 + 0.6) / 2, 0.2, 0.6),
+        ]
+        assert rep.gains(7, "A", 0) == [0.2, 0.6]
