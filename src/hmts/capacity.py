@@ -155,19 +155,23 @@ class ThresholdTable:
         if not self.entries:
             raise TableError("threshold table is empty")
         seen = set()
+        # entries per (modulation, stream), each group in table order:
+        # best_entry lets the first in order win a tie
+        groups: dict[tuple[str, str], list[ModCod]] = {}
         for e in self.entries:
             key = (e.modulation, e.code_rate, e.stream)
             if key in seen:
                 raise TableError(f"duplicate entry {key}")
             seen.add(key)
+            groups.setdefault((e.modulation, e.stream), []).append(e)
+        self._groups = {key: tuple(grp) for key, grp in groups.items()}
+        self._singles = tuple(e for e in self.entries if e.stream == "single")
+        self._hierarchical = tuple(sorted({m for m, s in self._groups if s != "single"}))
         self._check_monotone()
 
     def _check_monotone(self):
-        groups: dict[tuple[str, str], list[ModCod]] = {}
-        for e in self.entries:
-            groups.setdefault((e.modulation, e.stream), []).append(e)
-        for (mod, stream), grp in groups.items():
-            grp.sort(key=lambda e: e.code_rate)
+        for (mod, stream), grp in self._groups.items():
+            grp = sorted(grp, key=lambda e: e.code_rate)
             for lo, hi in zip(grp, grp[1:]):
                 if hi.threshold_db <= lo.threshold_db:
                     raise TableError(
@@ -183,20 +187,13 @@ class ThresholdTable:
         return iter(self.entries)
 
     def singles(self) -> tuple[ModCod, ...]:
-        return tuple(e for e in self.entries if e.stream == "single")
+        return self._singles
 
     def hierarchical_modulations(self) -> tuple[str, ...]:
-        mods = []
-        for e in self.entries:
-            if e.stream != "single" and e.modulation not in mods:
-                mods.append(e.modulation)
-        return tuple(sorted(mods))
+        return self._hierarchical
 
     def entries_for(self, modulation: str, stream: str) -> tuple[ModCod, ...]:
-        return tuple(
-            e for e in self.entries
-            if e.modulation == modulation and e.stream == stream
-        )
+        return self._groups.get((modulation, stream), ())
 
     def filter_rho(self, rho_set) -> "ThresholdTable":
         """Table restricted to single entries plus the given rho values."""

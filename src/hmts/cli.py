@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -20,9 +21,6 @@ from . import capacity, channel, pairing, rates, sim
 from ._csv import atomic_writer
 from .constellation import Apsk16Params, build_16apsk, solution_set
 from .errors import DegenerateRateError, ParameterError, TableError
-
-TABLE_ENV_VAR = "HMTS_THRESHOLD_TABLE"
-WEATHER_ENV_VAR = "HMTS_WEATHER_CDF"
 
 
 class ConfigError(ParameterError):
@@ -85,18 +83,46 @@ def _resolve_config_path(path_or_name: str) -> str:
     raise ConfigError(f"no such config file or preset: {path_or_name}")
 
 
-def _load_table(args) -> capacity.ThresholdTable:
-    path = args.table or os.environ.get(TABLE_ENV_VAR)
-    if path:
-        return capacity.load_thresholds(path)
-    return capacity.default_table()
+# setting -> (config section, config key, default), "" being the top
+# level of the config file; a table or weather path of None means the
+# shipped file
+_SETTINGS = {
+    "seed": ("", "seed", 1),
+    "out_dir": ("", "out_dir", "."),
+    "table": ("", "thresholds_path", None),
+    "weather": ("", "weather_path", None),
+    "snr1": ("pair", "snr1", None),
+    "snr2": ("pair", "snr2", None),
+    "min": ("grid", "snr_min", 4.0),
+    "max": ("grid", "snr_max", 12.0),
+    "step": ("grid", "step", 0.5),
+}
 
 
-def _load_weather(path: str | None) -> channel.WeatherCdf:
-    path = path or os.environ.get(WEATHER_ENV_VAR)
-    if path:
-        return channel.WeatherCdf.from_csv(path)
-    return channel.default_weather_cdf()
+def resolve_settings(args) -> None:
+    """Set every setting on ``args``: the flag given on the command line,
+    else the --config file, else the default; check the numbers and load
+    the table and weather CDF, so the subcommands read only ``args``."""
+    cfg = RunConfig.load(args.config) if "config" in args else RunConfig()
+    for name, (section, key, default) in _SETTINGS.items():
+        if name not in args:
+            value = getattr(cfg, section).get(key) if section else getattr(cfg, key)
+            setattr(args, name, default if value is None else value)
+    for name in ("snr1", "snr2", "min", "max", "step"):
+        value = getattr(args, name)
+        if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
+            raise ParameterError(f"{name} must be a finite number, got {value!r}")
+    if not isinstance(args.seed, int) or args.seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {args.seed!r}")
+    if args.step <= 0:
+        raise ParameterError(f"step must be > 0, got {args.step}")
+    if args.min > args.max:
+        raise ParameterError(f"grid min {args.min} exceeds grid max {args.max}")
+    args.mode, args.scenario, args.beam = cfg.mode, cfg.scenario, cfg.beam
+    args.table = (capacity.load_thresholds(args.table) if args.table
+                  else capacity.default_table())
+    args.weather = (channel.WeatherCdf.from_csv(args.weather) if args.weather
+                    else channel.default_weather_cdf())
 
 
 def _out_path(args, name: str) -> str:
@@ -125,12 +151,11 @@ def cmd_constellation(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    rates_list = [Fraction(r) for r in args.rates.split(",")]
     entries = []
     for rho in args.rho:
         entries.extend(
             capacity.estimate_hierarchical_thresholds(
-                rho, rates_list, quality=args.quality,
+                rho, args.rates, quality=args.quality,
                 loss_margin_db=args.margin, seed=args.seed,
             )
         )
@@ -140,53 +165,39 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
-def cmd_rates(args) -> int:
-    table = _load_table(args)
-    if args.rates_command == "pair":
-        if args.config:
-            cfg = RunConfig.load(args.config)
-            snr1 = cfg.pair.get("snr1", args.snr1)
-            snr2 = cfg.pair.get("snr2", args.snr2)
-        else:
-            snr1, snr2 = args.snr1, args.snr2
-        if snr1 is None or snr2 is None:
-            raise ParameterError("rates pair requires --snr1 and --snr2")
-        points = rates.operating_points(snr1, snr2, table)
-        r1 = capacity.best_single_rate(table, min(snr1, snr2))
-        r2 = capacity.best_single_rate(table, max(snr1, snr2))
-        r_ts = rates.ts_rate_two(r1, r2).per_receiver_rate
-        r_hm = rates.equal_rate_point(points)
-        hull = rates.augmented_hull([(p.r1, p.r2) for p in points])
-        path = _out_path(args, f"rates_pair_{snr1:g}_{snr2:g}.csv")
-        with atomic_writer(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "r1", "r2", "source"])
-            for p in points:
-                writer.writerow(["point", f"{p.r1:.10g}", f"{p.r2:.10g}", p.source])
-            for x, y in hull:
-                writer.writerow(["hull", f"{x:.10g}", f"{y:.10g}", ""])
-            writer.writerow(["r_ts", f"{r_ts:.10g}", f"{r_ts:.10g}", ""])
-            writer.writerow(["r_hm", f"{r_hm:.10g}", f"{r_hm:.10g}", ""])
-            writer.writerow(["gain", f"{r_hm / r_ts - 1.0:.10g}", "", ""])
-        print(path)
-        return 0
-    # grid
-    if args.config:
-        cfg = RunConfig.load(args.config)
-        lo = cfg.grid.get("snr_min", args.min)
-        hi = cfg.grid.get("snr_max", args.max)
-        step = cfg.grid.get("step", args.step)
-    else:
-        lo, hi, step = args.min, args.max, args.step
-    if step <= 0:
-        raise ParameterError("step must be > 0")
-    cache = sim.PairRateCache(table)
+def cmd_rates_pair(args) -> int:
+    snr1, snr2, table = args.snr1, args.snr2, args.table
+    if snr1 is None or snr2 is None:
+        raise ParameterError("rates pair requires --snr1 and --snr2")
+    points = rates.operating_points(snr1, snr2, table)
+    r1 = capacity.best_single_rate(table, min(snr1, snr2))
+    r2 = capacity.best_single_rate(table, max(snr1, snr2))
+    r_ts = rates.ts_rate_two(r1, r2).per_receiver_rate
+    r_hm = rates.equal_rate_point(points)
+    hull = rates.augmented_hull([(p.r1, p.r2) for p in points])
+    path = _out_path(args, f"rates_pair_{snr1:g}_{snr2:g}.csv")
+    with atomic_writer(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["kind", "r1", "r2", "source"])
+        for p in points:
+            writer.writerow(["point", f"{p.r1:.10g}", f"{p.r2:.10g}", p.source])
+        for x, y in hull:
+            writer.writerow(["hull", f"{x:.10g}", f"{y:.10g}", ""])
+        writer.writerow(["r_ts", f"{r_ts:.10g}", f"{r_ts:.10g}", ""])
+        writer.writerow(["r_hm", f"{r_hm:.10g}", f"{r_hm:.10g}", ""])
+        writer.writerow(["gain", f"{r_hm / r_ts - 1.0:.10g}", "", ""])
+    print(path)
+    return 0
+
+
+def cmd_rates_grid(args) -> int:
+    cache = sim.PairRateCache(args.table)
     path = _out_path(args, "rates_gain_grid.csv")
     with atomic_writer(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["snr1_db", "snr2_db", "gain"])
-        n = int(round((hi - lo) / step))
-        grid = [lo + k * step for k in range(n + 1)]
+        n = int(round((args.max - args.min) / args.step))
+        grid = [args.min + k * args.step for k in range(n + 1)]
         for s1 in grid:
             for s2 in grid:
                 if s2 < s1:
@@ -213,12 +224,16 @@ def _parse_snrs(value: str) -> list[float]:
         raise ParameterError(f"cannot parse SNR list {value!r}") from None
 
 
+def _parse_code_rates(value: str) -> list[Fraction]:
+    try:
+        return [Fraction(r) for r in value.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"cannot parse code rates {value!r}") from None
+
+
 def cmd_pairing(args) -> int:
     snrs = _parse_snrs(args.snrs)
-    if args.strategy == "C":
-        plan = pairing.strategy_c(snrs, seed=args.seed)
-    else:
-        plan = pairing.STRATEGIES[args.strategy](snrs)
+    plan = pairing.run_strategy(args.strategy, snrs, seed=args.seed)
     path = _out_path(args, f"pairing_{args.strategy}.csv")
     with atomic_writer(path) as fh:
         writer = csv.writer(fh)
@@ -234,32 +249,16 @@ def cmd_pairing(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg_file = RunConfig.load(args.config) if args.config else RunConfig()
-    seed = args.seed
-    if seed is None:
-        seed = cfg_file.seed if cfg_file.seed is not None else 1
-    scenario_kwargs = dict(cfg_file.scenario)
-    for key in ("snr_max_grid", "strategies", "professional_share_grid", "rho_set"):
-        if key in scenario_kwargs and isinstance(scenario_kwargs[key], list):
-            scenario_kwargs[key] = tuple(scenario_kwargs[key])
-    scenario_kwargs["seed"] = seed
-    scenario = sim.ScenarioConfig(**scenario_kwargs)
-    if args.table is None and cfg_file.thresholds_path:
-        table = capacity.load_thresholds(cfg_file.thresholds_path)
-    else:
-        table = _load_table(args)
-    weather = _load_weather(args.weather or cfg_file.weather_path)
-    beam = None
-    if cfg_file.beam:
-        beam = channel.BeamConfig(snr_max_db=0.0, **cfg_file.beam)
-    out_dir = args.out_dir if args.out_dir != "." else (cfg_file.out_dir or ".")
-    population_dir = os.path.join(out_dir, "populations") if args.dump_populations else None
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in args.scenario.items()}
+    scenario = sim.ScenarioConfig(**{**kwargs, "seed": args.seed})
+    beam = channel.BeamConfig(snr_max_db=0.0, **args.beam) if args.beam else None
+    population_dir = _out_path(args, "populations") if args.dump_populations else None
     report = sim.run_scenario(
-        scenario, mode=cfg_file.mode, table=table, weather=weather,
+        scenario, mode=args.mode, table=args.table, weather=args.weather,
         beam_template=beam, population_dir=population_dir,
     )
-    report_path = os.path.join(out_dir, "report.csv")
-    summary_path = os.path.join(out_dir, "summary.csv")
+    report_path = _out_path(args, "report.csv")
+    summary_path = _out_path(args, "summary.csv")
     report.to_csv(report_path)
     report.summary_to_csv(summary_path)
     for row in sim.summarize(report):
@@ -272,8 +271,9 @@ def cmd_simulate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # the global flags are accepted before or after the subcommand;
-    # SUPPRESS keeps a post-subcommand absence from clobbering a
-    # pre-subcommand value
+    # SUPPRESS leaves a flag not given off the namespace, so that a
+    # post-subcommand absence cannot clobber a pre-subcommand value and
+    # resolve_settings can tell a flag from a default
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="global random seed")
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON run configuration or preset name")
     common.add_argument("--table", default=argparse.SUPPRESS,
-                        help=f"threshold table CSV (or ${TABLE_ENV_VAR})")
+                        help="threshold table CSV")
     parser = argparse.ArgumentParser(
         prog="hmts",
         description="Hierarchical-modulation time sharing for satellite broadcast",
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="thresholds_command", required=True)
     pe = tsub.add_parser("estimate", parents=[common])
     pe.add_argument("--rho", type=float, action="append", required=True)
-    pe.add_argument("--rates", default="1/4,1/3,2/5,1/2,3/5,2/3,3/4,4/5,5/6,8/9,9/10")
+    pe.add_argument("--rates", type=_parse_code_rates, default=capacity.DVBS2_CODE_RATES)
     pe.add_argument("--quality", type=int, default=capacity.DEFAULT_MI_QUALITY)
     pe.add_argument("--margin", type=float, default=capacity.DEFAULT_LOSS_MARGIN_DB)
     pe.add_argument("--out", default=None)
@@ -313,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rates", help="pair operating points or gain grids")
     rsub = p.add_subparsers(dest="rates_command", required=True)
     pp = rsub.add_parser("pair", parents=[common])
-    pp.add_argument("--snr1", type=float, default=None)
-    pp.add_argument("--snr2", type=float, default=None)
-    pp.set_defaults(func=cmd_rates)
+    pp.add_argument("--snr1", type=float, default=argparse.SUPPRESS)
+    pp.add_argument("--snr2", type=float, default=argparse.SUPPRESS)
+    pp.set_defaults(func=cmd_rates_pair)
     pg = rsub.add_parser("grid", parents=[common])
-    pg.add_argument("--min", type=float, default=4.0)
-    pg.add_argument("--max", type=float, default=12.0)
-    pg.add_argument("--step", type=float, default=0.5)
-    pg.set_defaults(func=cmd_rates)
+    pg.add_argument("--min", type=float, default=argparse.SUPPRESS)
+    pg.add_argument("--max", type=float, default=argparse.SUPPRESS)
+    pg.add_argument("--step", type=float, default=argparse.SUPPRESS)
+    pg.set_defaults(func=cmd_rates_grid)
 
     p = sub.add_parser("pairing", parents=[common], help="pair receivers by SNR difference")
     p.add_argument("--strategy", choices=sorted(pairing.STRATEGIES), required=True)
@@ -329,31 +329,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pairing)
 
     p = sub.add_parser("simulate", parents=[common], help="run a broadcast scenario")
-    p.add_argument("--weather", default=None,
-                   help=f"weather CDF CSV (or ${WEATHER_ENV_VAR})")
+    p.add_argument("--weather", default=argparse.SUPPRESS,
+                   help="weather CDF CSV")
     p.add_argument("--dump-populations", action="store_true")
     p.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # the shared flags use SUPPRESS so a post-subcommand absence cannot
-    # clobber a pre-subcommand value; fill the true defaults here
-    for name, default in (("seed", None), ("out_dir", "."), ("config", None), ("table", None)):
-        if not hasattr(args, name):
-            setattr(args, name, default)
-    if args.seed is None and args.command != "simulate":
-        args.seed = 1  # simulate resolves its seed against the config file
+    args = build_parser().parse_args(argv)
     try:
+        resolve_settings(args)
         return args.func(args)
     except DegenerateRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.receivers:
             print(f"receivers: {list(exc.receivers)}", file=sys.stderr)
         return 3
-    except (ParameterError, TableError) as exc:
+    except (ParameterError, TableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

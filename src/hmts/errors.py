@@ -17,6 +17,10 @@ class TableError(ValueError):
     """A threshold table file is malformed or violates table invariants."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant does not hold: a bug, not bad input."""
+
+
 class UnreachableThresholdError(RuntimeError):
     """A stream never reaches the target spectral efficiency below 30 dB."""
 

@@ -24,6 +24,7 @@ __all__ = [
     "delta_upper_bound",
     "brute_force_matching",
     "STRATEGIES",
+    "run_strategy",
 ]
 
 _BRUTE_FORCE_CAP = 12
@@ -128,6 +129,13 @@ STRATEGIES = {
     "C": strategy_c,
     "D": strategy_d,
 }
+
+
+def run_strategy(strategy: str, snrs, seed=0) -> PairingPlan:
+    """Pair ``snrs`` with strategy A-D, looked up in ``STRATEGIES`` at
+    each call; only the random strategy C draws from ``seed``."""
+    fn = STRATEGIES[strategy]
+    return fn(snrs, seed) if strategy == "C" else fn(snrs)
 
 
 def delta_upper_bound(histogram) -> float:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .capacity import ModCod, ThresholdTable, best_entry, best_single_rate
-from .errors import DegenerateRateError, ParameterError
+from .errors import DegenerateRateError, InvariantError, ParameterError
 
 __all__ = [
     "RatePair",
@@ -230,11 +230,11 @@ def hierarchical_gain(hier: float, classical: float) -> float:
     """Relative gain ``hier / classical - 1``, clamped at 0.
 
     The hull contains the classical points, so a loss beyond rounding
-    (below -1e-9) is a bug and raises.
+    (below -1e-9) is a bug and raises InvariantError.
     """
     gain = hier / classical - 1.0
     if gain < -1e-9:
-        raise AssertionError(
+        raise InvariantError(
             f"hierarchical rate fell below the classical rate; gain={gain:.3e}"
         )
     return max(gain, 0.0)

@@ -24,7 +24,7 @@ from ._csv import atomic_writer
 from .capacity import ThresholdTable, best_single_rate, default_table
 from .channel import BeamConfig, WeatherCdf, default_weather_cdf, generate_population, write_population
 from .errors import DegenerateRateError, ParameterError
-from .pairing import STRATEGIES
+from .pairing import STRATEGIES, run_strategy
 from .rates import hierarchical_gain, max_min_weighted, operating_points
 
 __all__ = [
@@ -213,11 +213,7 @@ def run_trial(receivers, strategy: str, table, seed=0):
         inv_hier += receivers[solo].weight / rates[solo]
     if pool:
         snrs = [receivers[i].snr_db for i in pool]
-        if strategy == "C":
-            plan = STRATEGIES["C"](snrs, seed)
-        else:
-            plan = STRATEGIES[strategy](snrs)
-        for a, b in plan.pairs:
+        for a, b in run_strategy(strategy, snrs, seed).pairs:
             i, j = pool[a], pool[b]
             r_pair = cache.pair_rate(
                 receivers[i].snr_db, receivers[j].snr_db,

@@ -15,6 +15,7 @@ from hmts.capacity import (
     ADOPTED_APSK_GEOMETRY,
     DVBS2_CODE_RATES,
     ModCod,
+    ThresholdTable,
     best_entry,
     best_single_rate,
     default_table,
@@ -287,6 +288,22 @@ class TestThresholdTable:
         sub = table.filter_rho((0.8,))
         assert sub.hierarchical_modulations() == ("H16APSK-0.80",)
         assert len(sub.singles()) == len(table.singles())
+
+    def test_accessors_keep_table_order(self):
+        entries = [
+            ModCod("16APSK", Fraction(3, 4), "single", 9.97),
+            ModCod("H16APSK-0.90", Fraction(1, 2), "HE", 2.0),
+            ModCod("QPSK", Fraction(2, 3), "single", 3.10),
+            ModCod("H16APSK-0.75", Fraction(1, 2), "LE", 9.0),
+            ModCod("16APSK", Fraction(2, 3), "single", 8.97),
+            ModCod("QPSK", Fraction(1, 2), "single", 1.00),
+        ]
+        table = ThresholdTable(entries)
+        assert table.singles() == (entries[0], entries[2], entries[4], entries[5])
+        assert table.entries_for("16APSK", "single") == (entries[0], entries[4])
+        assert table.entries_for("QPSK", "single") == (entries[2], entries[5])
+        assert table.entries_for("QPSK", "HE") == ()
+        assert table.hierarchical_modulations() == ("H16APSK-0.75", "H16APSK-0.90")
 
     def test_unknown_stream_modulation_combos(self):
         with pytest.raises(TableError):

@@ -10,7 +10,10 @@ from hmts.cli import main
 
 
 def run_cli(args, capsys):
-    code = main(args)
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -302,21 +305,23 @@ class TestSimulateCommand:
 
 
 class TestTableOverride:
-    def test_env_var_table(self, tmp_path, capsys, monkeypatch):
+    def test_config_thresholds_path(self, tmp_path, capsys):
         table_path = tmp_path / "tiny.csv"
         table_path.write_text(
             "modulation,code_rate,stream,threshold_db\n"
             "QPSK,1/2,single,1.0\n"
             "QPSK,9/10,single,6.42\n"
         )
-        monkeypatch.setenv("HMTS_THRESHOLD_TABLE", str(table_path))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"thresholds_path": str(table_path)}))
         code, out, _ = run_cli(
-            ["--out-dir", str(tmp_path), "rates", "pair", "--snr1", "7", "--snr2", "10"],
+            ["--out-dir", str(tmp_path), "--config", str(cfg),
+             "rates", "pair", "--snr1", "7", "--snr2", "10"],
             capsys,
         )
         assert code == 0
         content = (tmp_path / "rates_pair_7_10.csv").read_text()
-        assert "8PSK" not in content  # only the tiny table was used
+        assert "8PSK" not in content and "H16APSK" not in content  # only the tiny table
 
     def test_bad_table_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -327,3 +332,149 @@ class TestTableOverride:
             capsys,
         )
         assert code == 2
+
+
+class TestSettingsPrecedence:
+    """flag given on the command line > --config file > default"""
+
+    def test_seed_flag_beats_config(self, tmp_path, capsys):
+        reports = []
+        for name, cfg_seed, flags in (("a", 5, ["--seed", "6"]), ("b", 6, []), ("c", 5, [])):
+            cfg = write_tiny_config(tmp_path / f"{name}.json", seed=cfg_seed)
+            code, _, _ = run_cli(
+                ["--out-dir", str(tmp_path / name), "--config", str(cfg), *flags, "simulate"],
+                capsys,
+            )
+            assert code == 0
+            reports.append((tmp_path / name / "report.csv").read_bytes())
+        assert reports[0] == reports[1] != reports[2]
+
+    @pytest.mark.parametrize("flag", [".", "flagged"])
+    def test_out_dir_flag_beats_config(self, flag, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_tiny_config(tmp_path / "cfg.json", out_dir="from_config")
+        code, _, _ = run_cli(["--config", str(cfg), "simulate", "--out-dir", flag], capsys)
+        assert code == 0
+        assert (tmp_path / flag / "report.csv").exists()
+        assert not (tmp_path / "from_config").exists()
+
+    def test_out_dir_from_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_tiny_config(tmp_path / "cfg.json", out_dir="from_config")
+        code, _, _ = run_cli(["--config", str(cfg), "simulate"], capsys)
+        assert code == 0
+        assert (tmp_path / "from_config" / "report.csv").exists()
+
+    def test_snr_flags_beat_config(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["--out-dir", str(tmp_path), "rates", "pair", "--config", "pair_7_10",
+             "--snr1", "5", "--snr2", "6"],
+            capsys,
+        )
+        assert code == 0
+        assert [p.name for p in tmp_path.glob("rates_pair_*.csv")] == ["rates_pair_5_6.csv"]
+
+    def test_step_flag_beats_config(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["--out-dir", str(tmp_path), "rates", "grid", "--config", "gain_grid_4_12",
+             "--step", "1"],
+            capsys,
+        )
+        assert code == 0
+        rows = list(csv.DictReader(open(tmp_path / "rates_gain_grid.csv")))
+        assert len(rows) == 9 * 10 // 2  # 4, 5, ..., 12 dB
+        assert {r["snr1_db"] for r in rows} == {str(k) for k in range(4, 13)}
+
+    def test_weather_path_from_config_and_flag(self, tmp_path, capsys):
+        weather = tmp_path / "weather.csv"
+        weather.write_text("attenuation_db,cumulative_probability\n3.0,0.0\n3.0,1.0\n")
+        runs = {
+            "config": (write_tiny_config(tmp_path / "w.json", weather_path=str(weather)), []),
+            # a missing config path is never read when the flag is given
+            "flag": (write_tiny_config(tmp_path / "m.json", weather_path="missing.csv"),
+                     ["--weather", str(weather)]),
+            "shipped": (write_tiny_config(tmp_path / "s.json"), []),
+        }
+        reports = {}
+        for name, (cfg, flags) in runs.items():
+            code, _, _ = run_cli(
+                ["--out-dir", str(tmp_path / name), "--config", str(cfg), "simulate", *flags],
+                capsys,
+            )
+            assert code == 0
+            reports[name] = (tmp_path / name / "report.csv").read_bytes()
+        assert reports["config"] == reports["flag"] != reports["shipped"]
+
+    def test_pairing_c_seed_from_config(self, tmp_path, capsys):
+        snrs = ",".join(str(v) for v in range(12))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        outputs = {}
+        for name, flags in (("config", ["--config", str(cfg)]), ("flag", ["--seed", "3"]),
+                            ("default", [])):
+            out = tmp_path / name
+            code, _, _ = run_cli(
+                ["--out-dir", str(out), *flags, "pairing", "--strategy", "C", "--snrs", snrs],
+                capsys,
+            )
+            assert code == 0
+            outputs[name] = (out / "pairing_C.csv").read_bytes()
+        assert outputs["config"] == outputs["flag"] != outputs["default"]
+
+    @pytest.mark.parametrize("argv", [
+        ["pairing", "--strategy", "A", "--snrs", "1,2"],
+        ["constellation", "--rho", "0.8"],
+        ["thresholds", "estimate", "--rho", "0.8", "--rates", "1/2"],
+    ], ids=["pairing", "constellation", "thresholds-estimate"])
+    def test_missing_preset_exit_2(self, argv, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["--out-dir", str(tmp_path), "--config", "no_such_preset", *argv], capsys
+        )
+        assert code == 2
+        assert "no_such_preset" in err
+        assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["rates", "grid", "--min", "nan"], None),
+    (["rates", "grid", "--step", "nan"], None),
+    (["rates", "pair", "--snr1", "nan", "--snr2", "10"], None),
+    (["rates", "pair", "--snr1", "inf", "--snr2", "10"], None),
+    (["rates", "grid", "--min", "5", "--max", "4"], None),
+    (["thresholds", "estimate", "--rho", "0.8", "--rates", "abc"], None),
+    (["thresholds", "estimate", "--rho", "0.8", "--rates", "1/0"], None),
+    (["pairing", "--strategy", "C", "--seed", "-1", "--snrs", "1,2,3,4"], None),
+    (["rates", "pair"], {"pair": {"snr1": "7", "snr2": 10}}),
+    (["rates", "grid"], {"grid": {"step": float("nan")}}),
+], ids=["grid-min-nan", "grid-step-nan", "pair-snr1-nan", "pair-snr1-inf", "grid-min-above-max",
+        "rates-abc", "rates-1/0", "seed-negative", "config-snr1-string", "config-step-nan"])
+def test_bad_numeric_input_exit_2(argv, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    out = tmp_path / "out"
+    code, _, err = run_cli(["--out-dir", str(out), *argv], capsys)
+    assert code == 2
+    assert err.count("error:") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out-dir", "{out}", "--table", "{missing}", "rates", "pair", "--snr1", "7", "--snr2", "10"],
+    ["--out-dir", "{out}", "--config", "{config}", "simulate", "--weather", "{missing}"],
+    ["--out-dir", "{file}", "rates", "pair", "--snr1", "7", "--snr2", "10"],
+], ids=["missing-table", "missing-weather", "out-dir-is-a-file"])
+def test_unusable_path_exit_2(argv, tmp_path, capsys):
+    paths = {
+        "out": str(tmp_path / "out"),
+        "missing": str(tmp_path / "nofile.csv"),
+        "config": str(write_tiny_config(tmp_path / "cfg.json")),
+        "file": str(tmp_path / "a_file"),
+    }
+    (tmp_path / "a_file").write_text("")
+    code, _, err = run_cli([a.format(**paths) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("error:") == 1
+    assert not (tmp_path / "out").exists()
+    assert (tmp_path / "a_file").read_text() == ""

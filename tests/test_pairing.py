@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmts import pairing
 from hmts.errors import ParameterError
 from hmts.pairing import (
+    STRATEGIES,
     PairingPlan,
     brute_force_matching,
     delta_upper_bound,
+    run_strategy,
     strategy_a,
     strategy_b,
     strategy_c,
@@ -183,6 +186,26 @@ class TestBruteForce:
     def test_bad_objective(self):
         with pytest.raises(ParameterError):
             brute_force_matching([1.0, 2.0], "median")
+
+
+class TestRunStrategy:
+    def test_seed_reaches_only_strategy_c(self):
+        snrs = [float(v) for v in range(10)]
+        assert run_strategy("C", snrs, seed=7) == strategy_c(snrs, seed=7)
+        assert run_strategy("C", snrs, seed=7) != run_strategy("C", snrs, seed=8)
+        for name in "ABD":
+            assert run_strategy(name, snrs, seed=7) == STRATEGIES[name](snrs)
+
+    def test_strategy_looked_up_at_call_time(self, monkeypatch):
+        calls = []
+
+        def fake(snrs, seed):
+            calls.append(seed)
+            return strategy_c(snrs, seed)
+
+        monkeypatch.setitem(pairing.STRATEGIES, "C", fake)
+        run_strategy("C", [1.0, 2.0], seed=4)
+        assert calls == [4]
 
 
 class TestPlanInvariants:

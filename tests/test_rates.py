@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmts.capacity import default_table
-from hmts.errors import DegenerateRateError, ParameterError
+from hmts.errors import DegenerateRateError, InvariantError, ParameterError
 from hmts.rates import (
     RatePair,
     convex_hull,
     equal_rate_point,
+    hierarchical_gain,
     max_min_weighted,
     operating_points,
     pair_gain,
@@ -234,6 +235,11 @@ class TestPairGain:
     def test_degenerate(self, table):
         with pytest.raises(DegenerateRateError):
             pair_gain(-5.0, 10.0, table)
+
+    def test_hierarchical_gain_clamp_and_invariant(self):
+        assert hierarchical_gain(1.0 - 1e-12, 1.0) == 0.0
+        with pytest.raises(InvariantError, match="below the classical rate"):
+            hierarchical_gain(0.9, 1.0)
 
     def test_nonnegative_on_grid(self, table):
         for s1 in np.arange(4.0, 12.1, 1.0):
