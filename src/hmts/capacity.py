@@ -17,6 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -137,9 +138,11 @@ class ModCod:
             return _SINGLE_BITS[self.modulation]
         return 2
 
-    @property
+    @cached_property
     def spectral_efficiency(self) -> float:
-        """Useful bits per symbol: stream bits times code rate."""
+        """Useful bits per symbol: stream bits times code rate; computed
+        on first use and kept, outside the fields that equality and hash
+        read."""
         return self.bits_per_stream * float(self.code_rate)
 
     @property

@@ -59,7 +59,7 @@ class RunConfig:
             raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
         cfg = cls(**raw)
         for section, keys in (
-            ("scenario", {f.name for f in fields(sim.ScenarioConfig)}),
+            ("scenario", {f.name for f in fields(sim.ScenarioConfig)} - {"seed"}),
             ("beam", {f.name for f in fields(channel.BeamConfig)} - {"snr_max_db"}),
             ("pair", {"snr1", "snr2"}),
             ("grid", {"snr_min", "snr_max", "step"}),
@@ -108,6 +108,10 @@ def resolve_settings(args) -> None:
         if name not in args:
             value = getattr(cfg, section).get(key) if section else getattr(cfg, key)
             setattr(args, name, default if value is None else value)
+    for name in ("out_dir", "table", "weather"):
+        value = getattr(args, name)
+        if value is not None and not isinstance(value, str):
+            raise ParameterError(f"{_SETTINGS[name][1]} must be a path string, got {value!r}")
     for name in ("snr1", "snr2", "min", "max", "step"):
         value = getattr(args, name)
         if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):

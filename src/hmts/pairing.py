@@ -8,7 +8,9 @@ equals that maximum.
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +24,9 @@ __all__ = [
     "strategy_c",
     "strategy_d",
     "delta_upper_bound",
-    "brute_force_matching",
     "STRATEGIES",
     "run_strategy",
 ]
-
-_BRUTE_FORCE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -81,25 +80,99 @@ def strategy_a(snrs) -> PairingPlan:
 def strategy_b(snrs) -> PairingPlan:
     """Pair receivers whose SNR difference is closest to the maximum
     average difference, greedily; variance of the per-pair difference is
-    typically much smaller than strategy A's."""
+    typically much smaller than strategy A's.
+
+    Over the receivers sorted by (SNR, index), candidate pairs i < j are
+    taken in order of closeness ``abs(abs(v[i] - v[j]) - target)``, then
+    i, then j, skipping any that reuse a receiver.  A heap holds each
+    receiver's best candidate partner; each receiver walks its partners
+    in (closeness, j) order outward from the first j whose computed
+    difference reaches the target, so time is O(n log n) in the usual
+    case and memory O(n).
+    """
     snrs = _check_even(snrs)
     target = strategy_a(snrs).delta_avg
     order = _sorted_order(snrs)
-    values = np.array([snrs[i] for i in order])
-    n = len(order)
-    iu, ju = np.triu_indices(n, k=1)
-    closeness = np.abs(np.abs(values[iu] - values[ju]) - target)
-    ranking = np.lexsort((ju, iu, closeness))
-    used = np.zeros(n, dtype=bool)
+    v = [snrs[i] for i in order]
+    n = len(v)
+
+    # path-compressed "next unused" pointers: up[k] leads to the smallest
+    # unused index >= k (n is a sentinel), down[k + 1] to the largest
+    # unused index <= k (-1 is a sentinel)
+    up = list(range(n + 1))
+    down = list(range(n + 1))
+
+    def first_unused_from(k):
+        while up[k] != k:
+            up[k] = up[up[k]]
+            k = up[k]
+        return k
+
+    def last_unused_to(k):
+        k += 1
+        while down[k] != k:
+            down[k] = down[down[k]]
+            k = down[k]
+        return k - 1
+
+    # partners j >= right[i] lie at or above the target and come out in
+    # ascending j; below it, closeness grows as j falls, and a run of
+    # equal closeness [run_lo[i], run_hi[i]] comes out in ascending j
+    # from left[i].  Both searches bisect on the computed difference
+    # v[j] - v[i] (and gap), never on v[i] + target, which rounds
+    # differently; runs are of equal gap, since distinct differences can
+    # round to one gap
+    right = [0] * n
+    left = [0] * n
+    run_lo = [0] * n
+    run_hi = [0] * n
+    for i in range(n):
+        vi = v[i]
+        split = bisect_left(v, target, i + 1, n, key=lambda x: x - vi)
+        right[i] = left[i] = run_lo[i] = split
+        run_hi[i] = split - 1
+
+    def best_partner(i):
+        """(closeness, i, j) for i's best unused partner j > i, or None."""
+        vi = v[i]
+        j = left[i] = first_unused_from(left[i])
+        if j > run_hi[i]:
+            k = last_unused_to(run_lo[i] - 1)
+            if k > i:
+                gap = (v[k] - vi) - target
+                lo = bisect_left(v, gap, i + 1, k, key=lambda x: (x - vi) - target)
+                run_lo[i], run_hi[i] = lo, k
+                j = left[i] = first_unused_from(lo)
+            else:
+                run_lo[i], run_hi[i] = i + 1, i
+                j = None
+        c_left = None if j is None else abs(abs(vi - v[j]) - target)
+        r = right[i] = first_unused_from(right[i])
+        if r < n:
+            c_right = abs(abs(vi - v[r]) - target)
+            if j is None or c_right < c_left:  # a tie goes to the smaller j
+                return (c_right, i, r)
+        return None if j is None else (c_left, i, j)
+
+    heap = [entry for entry in map(best_partner, range(n)) if entry is not None]
+    heapq.heapify(heap)
     pairs = []
-    for k in ranking:
-        a, b = iu[k], ju[k]
-        if used[a] or used[b]:
-            continue
-        used[a] = used[b] = True
-        pairs.append((order[a], order[b]))
-        if len(pairs) == n // 2:
-            break
+    while len(pairs) < n // 2:
+        _, a, b = heap[0]
+        if up[a] != a:
+            heapq.heappop(heap)
+        elif up[b] != b:
+            entry = best_partner(a)
+            if entry is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, entry)
+        else:
+            heapq.heappop(heap)
+            for k in (a, b):
+                up[k] = k + 1
+                down[k + 1] = k
+            pairs.append((order[a], order[b]))
     return PairingPlan.from_pairs(snrs, pairs)
 
 
@@ -167,35 +240,3 @@ def delta_upper_bound(histogram) -> float:
         bound += a_i * (hi - lo)
     return bound / n_pairs
 
-
-def _matchings(indices):
-    if not indices:
-        yield []
-        return
-    first, rest = indices[0], indices[1:]
-    for k in range(len(rest)):
-        partner = rest[k]
-        remaining = rest[:k] + rest[k + 1:]
-        for tail in _matchings(remaining):
-            yield [(first, partner)] + tail
-
-
-def brute_force_matching(snrs, objective: str = "max") -> PairingPlan:
-    """Exact optimum of the average SNR difference by enumerating all
-    perfect matchings; limited to 12 receivers."""
-    snrs = _check_even(snrs)
-    if len(snrs) > _BRUTE_FORCE_CAP:
-        raise ParameterError(
-            f"brute force is limited to {_BRUTE_FORCE_CAP} receivers, got {len(snrs)}"
-        )
-    if objective not in ("max", "min"):
-        raise ParameterError(f"objective must be 'max' or 'min', got {objective!r}")
-    sign = 1.0 if objective == "max" else -1.0
-    best = None
-    best_score = -math.inf
-    for pairs in _matchings(tuple(range(len(snrs)))):
-        score = sign * sum(abs(snrs[i] - snrs[j]) for i, j in pairs)
-        if score > best_score:
-            best_score = score
-            best = pairs
-    return PairingPlan.from_pairs(snrs, best)

@@ -3,17 +3,24 @@
 Everything here deliberately avoids the code paths under test: mutual
 information uses Gauss-Hermite quadrature instead of Monte-Carlo, the
 equal-rate point enumerates segment-diagonal intersections instead of
-building a hull, matchings are enumerated via permutations, and the
-Bessel function is integrated numerically.
+building a hull, matching optima come from a subset dynamic programme
+checked against enumeration, and the Bessel function is integrated
+numerically.  ``strategy_b_allpairs`` is the exception: it is the
+previous all-pairs implementation of strategy B, kept to pin the
+package's faster one to the same plans.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+
+from hmts.errors import ParameterError
+from hmts.pairing import PairingPlan, _check_even, _sorted_order, strategy_a
 
 
 def mi_quadrature(symbols, tx_labels, cond_labels, snr_db, order=48):
@@ -189,6 +196,92 @@ def matching_delta(snrs, pairs):
     return sum(abs(snrs[i] - snrs[j]) for i, j in pairs) / len(pairs)
 
 
+_BRUTE_FORCE_CAP = 12
+
+
+class Matching(NamedTuple):
+    """A perfect matching, its pairs sorted, and its average SNR difference."""
+
+    pairs: tuple[tuple[int, int], ...]
+    delta_avg: float
+
+
+def _matching(snrs, pairs) -> Matching:
+    pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
+    delta = sum(abs(snrs[i] - snrs[j]) for i, j in pairs) / len(pairs)
+    return Matching(pairs, delta)
+
+
+def _check_matching_input(snrs, objective) -> tuple[list[float], float]:
+    snrs = [float(s) for s in snrs]
+    if len(snrs) < 2 or len(snrs) % 2 or not all(math.isfinite(s) for s in snrs):
+        raise ParameterError(f"need an even count >= 2 of finite SNRs, got {snrs}")
+    if len(snrs) > _BRUTE_FORCE_CAP:
+        raise ParameterError(
+            f"brute force is limited to {_BRUTE_FORCE_CAP} receivers, got {len(snrs)}"
+        )
+    if objective not in ("max", "min"):
+        raise ParameterError(f"objective must be 'max' or 'min', got {objective!r}")
+    return snrs, 1.0 if objective == "max" else -1.0
+
+
+def brute_force_matching(snrs, objective: str = "max") -> Matching:
+    """Exact optimum of the average SNR difference over all perfect
+    matchings, by dynamic programming over the set of matched receivers
+    (the lowest unmatched one is paired next): O(2^n n) time, limited to
+    12 receivers."""
+    snrs, sign = _check_matching_input(snrs, objective)
+    n = len(snrs)
+    full = (1 << n) - 1
+    score = [None] * (full + 1)  # best signed difference sum matching the set
+    step = [None] * (full + 1)  # (previous set, i, j) attaining it
+    score[0] = 0.0
+    for mask in range(full):
+        if score[mask] is None:
+            continue
+        i = (~mask & (mask + 1)).bit_length() - 1
+        for j in range(i + 1, n):
+            if mask >> j & 1:
+                continue
+            nxt = mask | 1 << i | 1 << j
+            total = score[mask] + sign * abs(snrs[i] - snrs[j])
+            if score[nxt] is None or total > score[nxt]:
+                score[nxt] = total
+                step[nxt] = (mask, i, j)
+    pairs = []
+    mask = full
+    while mask:
+        mask, i, j = step[mask]
+        pairs.append((i, j))
+    return _matching(snrs, pairs)
+
+
+def _matchings(indices):
+    if not indices:
+        yield []
+        return
+    first, rest = indices[0], indices[1:]
+    for k in range(len(rest)):
+        partner = rest[k]
+        remaining = rest[:k] + rest[k + 1:]
+        for tail in _matchings(remaining):
+            yield [(first, partner)] + tail
+
+
+def brute_force_matching_enumerated(snrs, objective: str = "max") -> Matching:
+    """``brute_force_matching`` by enumerating every perfect matching;
+    kept to check the dynamic programme at up to 10 receivers."""
+    snrs, sign = _check_matching_input(snrs, objective)
+    best = None
+    best_score = -math.inf
+    for pairs in _matchings(tuple(range(len(snrs)))):
+        score = sign * sum(abs(snrs[i] - snrs[j]) for i, j in pairs)
+        if score > best_score:
+            best_score = score
+            best = pairs
+    return _matching(snrs, best)
+
+
 def bessel_j1_simpson(x, n=40001):
     """J1 via Simpson quadrature of its integral representation."""
     tau = np.linspace(0.0, math.pi, n)
@@ -198,3 +291,27 @@ def bessel_j1_simpson(x, n=40001):
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float(h / 3.0 * np.sum(weights * integrand) / math.pi)
+
+
+def strategy_b_allpairs(snrs) -> PairingPlan:
+    """Strategy B by sorting all n(n-1)/2 candidate pairs: the reference
+    for ``hmts.pairing.strategy_b``, which must return the same plan."""
+    snrs = _check_even(snrs)
+    target = strategy_a(snrs).delta_avg
+    order = _sorted_order(snrs)
+    values = np.array([snrs[i] for i in order])
+    n = len(order)
+    iu, ju = np.triu_indices(n, k=1)
+    closeness = np.abs(np.abs(values[iu] - values[ju]) - target)
+    ranking = np.lexsort((ju, iu, closeness))
+    used = np.zeros(n, dtype=bool)
+    pairs = []
+    for k in ranking:
+        a, b = iu[k], ju[k]
+        if used[a] or used[b]:
+            continue
+        used[a] = used[b] = True
+        pairs.append((order[a], order[b]))
+        if len(pairs) == n // 2:
+            break
+    return PairingPlan.from_pairs(snrs, pairs)

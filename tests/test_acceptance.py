@@ -18,11 +18,11 @@ from hmts.capacity import (
     estimate_hierarchical_thresholds,
 )
 from hmts.constellation import energy_fraction, solution_set, solve_theta
-from hmts.pairing import brute_force_matching, delta_upper_bound, strategy_a, strategy_d
+from hmts.pairing import delta_upper_bound, strategy_a, strategy_d
 from hmts.rates import RatePair, equal_rate_point, pair_gain, ts_rate_n, ts_rate_two
 from hmts.sim import PairRateCache, ScenarioConfig, run_scenario
 
-from oracles import max_min_rate_exhaustive, ts_common_rate_search
+from oracles import brute_force_matching, max_min_rate_exhaustive, ts_common_rate_search
 
 RHO_SWEEP = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95]
 

@@ -273,6 +273,21 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    def test_scenario_seed_key_exit_2(self, tmp_path, capsys):
+        # the seed has one config location, the top-level "seed"
+        cfg = write_tiny_config(
+            tmp_path / "cfg.json",
+            scenario={"n_receivers": 20, "n_trials": 2, "snr_max_grid": [10.0],
+                      "strategies": ["A"], "seed": 5},
+        )
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            ["--out-dir", str(out), "--config", str(cfg), "simulate"], capsys
+        )
+        assert code == 2
+        assert err.count("error:") == 1 and "seed" in err
+        assert not out.exists()
+
     def test_degenerate_population_exit_3(self, tmp_path, capsys):
         cfg = write_tiny_config(
             tmp_path / "cfg.json",
@@ -478,3 +493,17 @@ def test_unusable_path_exit_2(argv, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("error:") == 1
     assert not (tmp_path / "out").exists()
     assert (tmp_path / "a_file").read_text() == ""
+
+
+@pytest.mark.parametrize("key", ["out_dir", "thresholds_path", "weather_path"])
+def test_non_string_path_setting_exit_2(key, tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path / "cfg.json", **{key: 5})
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "rates", "pair", "--snr1", "7", "--snr2", "10"]
+    if key != "out_dir":
+        argv = ["--out-dir", str(out), *argv]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("error:") == 1
+    assert key in err
+    assert not out.exists()

@@ -1,8 +1,18 @@
-"""The numpy grid search in ``oracles`` against its point-by-point reference."""
+"""Oracles against their slower references: the numpy grid search
+against its point-by-point form, the matching dynamic programme against
+enumeration."""
 
 import numpy as np
+import pytest
 
-from oracles import _ts_common_rate_search_scalar, ts_common_rate_search
+from hmts.errors import ParameterError
+
+from oracles import (
+    _ts_common_rate_search_scalar,
+    brute_force_matching,
+    brute_force_matching_enumerated,
+    ts_common_rate_search,
+)
 
 
 def test_ts_common_rate_search_matches_scalar_reference():
@@ -19,3 +29,28 @@ def test_ts_common_rate_search_matches_scalar_reference():
     assert ts_common_rate_search([2.0, 2.0], [1, 1]) == _ts_common_rate_search_scalar(
         [2.0, 2.0], [1, 1]
     )
+
+
+class TestBruteForceMatching:
+    """The subset dynamic programme against enumeration of every matching."""
+
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    def test_dp_matches_enumeration(self, objective):
+        rng = np.random.default_rng(59)
+        for k in range(120):
+            n = int(rng.choice([2, 4, 6, 8, 10]))
+            if k % 2:  # tied levels
+                snrs = [float(s) for s in rng.choice([0.0, 0.5, 1.0, 3.0], n)]
+            else:
+                snrs = [float(s) for s in rng.uniform(-5.0, 20.0, n)]
+            fast = brute_force_matching(snrs, objective)
+            slow = brute_force_matching_enumerated(snrs, objective)
+            assert fast.delta_avg == pytest.approx(slow.delta_avg, abs=1e-12)
+            if objective == "min" and not k % 2:
+                # distinct values: the sorted-adjacent optimum is unique
+                # (a maximum is not: any matching across the median attains it)
+                assert fast.pairs == slow.pairs
+
+    def test_size_cap(self):
+        with pytest.raises(ParameterError):
+            brute_force_matching(list(range(14)), "max")

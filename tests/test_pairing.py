@@ -10,7 +10,6 @@ from hmts.errors import ParameterError
 from hmts.pairing import (
     STRATEGIES,
     PairingPlan,
-    brute_force_matching,
     delta_upper_bound,
     run_strategy,
     strategy_a,
@@ -19,7 +18,7 @@ from hmts.pairing import (
     strategy_d,
 )
 
-from oracles import all_matchings, matching_delta
+from oracles import all_matchings, brute_force_matching, matching_delta, strategy_b_allpairs
 
 
 def random_instances(rng, count, sizes=(4, 6, 8)):
@@ -90,6 +89,54 @@ class TestStrategyB:
             var_a.append(strategy_a(snrs).delta_variance)
             var_b.append(strategy_b(snrs).delta_variance)
         assert np.mean(var_b) <= np.mean(var_a)
+
+
+def _even(values):
+    return values[: len(values) - len(values) % 2]
+
+
+class TestStrategyBMatchesAllPairs:
+    """The heap greedy returns exactly the plan of the all-pairs sort."""
+
+    @given(st.lists(st.sampled_from([0.5 * k for k in range(-2, 4)]), min_size=2, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_tie_heavy_levels(self, snrs):
+        snrs = _even(snrs)
+        assert strategy_b(snrs) == strategy_b_allpairs(snrs)
+
+    @given(st.lists(
+        st.one_of(
+            st.floats(-1e6, 1e6, allow_nan=False),
+            st.floats(-1e150, 1e150, allow_nan=False),
+            st.sampled_from([0.0, -0.0, 5e-324, 0.1, 0.2, 0.3, 1e6, -1e6]),
+        ),
+        min_size=2, max_size=60,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_wide_values_and_duplicates(self, snrs):
+        snrs = _even(snrs + snrs[: len(snrs) // 2])  # duplicate a prefix
+        assert strategy_b(snrs) == strategy_b_allpairs(snrs)
+
+    @pytest.mark.parametrize("snrs", [
+        [4.0, 12.0],
+        [4.0, 4.0, 12.0, 12.0],
+        [0.0, 2.0, 2.0, 4.0],
+        [5.0] * 6,
+        [3.0, 4.0, 5.0, 6.0],
+        [-3.0, -3.0, 20.0, 20.0, 8.5, 8.5],
+        [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
+    ])
+    def test_edge_cases(self, snrs):
+        assert strategy_b(snrs) == strategy_b_allpairs(snrs)
+
+    def test_seeded_thousand_receivers(self):
+        rng = np.random.default_rng(61)
+        snrs = [float(s) for s in np.round(rng.normal(9.0, 4.0, 1000), 2)]
+        plan = strategy_b(snrs)
+        reference = strategy_b_allpairs(snrs)
+        assert plan.pairs == reference.pairs
+        assert plan.delta_avg == reference.delta_avg
+        assert plan.delta_variance == reference.delta_variance
 
 
 class TestStrategyC:
@@ -178,10 +225,6 @@ class TestBruteForce:
             for strat in (strategy_a, strategy_b, strategy_d):
                 assert strat(snrs).delta_avg <= top + 1e-12
             assert strategy_c(snrs, seed=3).delta_avg <= top + 1e-12
-
-    def test_size_cap(self):
-        with pytest.raises(ParameterError):
-            brute_force_matching(list(range(14)), "max")
 
     def test_bad_objective(self):
         with pytest.raises(ParameterError):
