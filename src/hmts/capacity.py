@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
@@ -295,10 +295,16 @@ def _stream_masks(c: Constellation, stream: str):
     raise ParameterError(f"unknown stream {stream!r}")
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    hi = np.max(a, axis=axis, keepdims=True)
-    out = hi.squeeze(axis) + np.log(np.sum(np.exp(a - hi), axis=axis))
-    return out
+@lru_cache(maxsize=8)
+def _standard_normals(m: int, per: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary noise draws of ``stream_mutual_information``:
+    ``(m, per)`` standard normals from ``default_rng(seed)``, drawn once
+    and read-only."""
+    rng = np.random.default_rng(seed)
+    draws = (rng.standard_normal((m, per)), rng.standard_normal((m, per)))
+    for z in draws:
+        z.setflags(write=False)
+    return draws
 
 
 def stream_mutual_information(
@@ -317,31 +323,61 @@ def stream_mutual_information(
         raise ParameterError(f"snr_db must lie in [{_SNR_FLOOR_DB}, {_SNR_CEIL_DB}]")
     if quality < 1000:
         raise ParameterError(f"quality must be >= 1000, got {quality}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     universe, same = _stream_masks(c, stream)
-    syms = c.symbols
-    m = len(syms)
-    n0 = 10.0 ** (-snr_db / 10.0)  # unit symbol energy
-    rng = np.random.default_rng(seed)
-    per = -(-quality // m)  # ceil
-    noise = math.sqrt(n0 / 2.0) * (
-        rng.standard_normal((m, per)) + 1j * rng.standard_normal((m, per))
-    )
-    y = syms[:, None] + noise
-    log_w = -np.abs(y[:, :, None] - syms[None, None, :]) ** 2 / n0
-    neg_inf = -np.inf
-    lw_universe = np.where(universe[:, None, :], log_w, neg_inf)
-    lw_class = np.where(same[:, None, :], log_w, neg_inf)
-    lse_u = _logsumexp(lw_universe, axis=2)
-    lse_c = _logsumexp(lw_class, axis=2)
     u_sizes = universe.sum(axis=1)
     c_sizes = same.sum(axis=1)
     if len(set(u_sizes)) != 1 or len(set(c_sizes)) != 1:
         raise ParameterError(
             f"{c.name}: stream classes are not uniform; cannot form stream MI"
         )
+    syms = c.symbols
+    m = len(syms)
+    n0 = 10.0 ** (-snr_db / 10.0)  # unit symbol energy
+    per = -(-quality // m)  # ceil
+    z_re, z_im = _standard_normals(m, per, int(seed))
+    scale = math.sqrt(n0 / 2.0)
+    y_re = syms.real[:, None] + scale * z_re
+    y_im = syms.imag[:, None] + scale * z_im
+    # log-weights -|y - s_j|^2 / n0 as (sent i, candidate j, sample k):
+    # the max over candidates reduces contiguous sample rows
+    log_w = y_re[:, None, :] - syms.real[None, :, None]
+    d_im = y_im[:, None, :] - syms.imag[None, :, None]
+    log_w *= log_w
+    d_im *= d_im
+    log_w += d_im
+    log_w /= -n0
+    # one exp pass shifted by the max over all candidates; the sent symbol
+    # is in both sums and its term is at least exp(-|z|^2 / 2), so neither
+    # sum underflows
+    log_w -= log_w.max(axis=1)[:, None, :]
+    np.exp(log_w, out=log_w)
+    masks = np.stack((universe, same), axis=1).astype(float)  # (i, sum, j)
+    sums = np.matmul(masks, log_w)  # (i, sum, k)
     n_classes = u_sizes[0] / c_sizes[0]
-    info = math.log2(n_classes) - float(np.mean(lse_u - lse_c)) / math.log(2.0)
+    info = math.log2(n_classes) - float(
+        np.mean(np.log(sums[:, 0] / sums[:, 1]))
+    ) / math.log(2.0)
     return info
+
+
+# MI by SNR of the one curve that estimate_threshold bisected last, keyed
+# by the values that fix the curve: bisection from the same bracket visits
+# the same SNRs for every code rate, so consecutive rates of one curve
+# share their first evaluations.  A caller keeps the dict it was handed, so
+# a thread bisecting another curve starts a new dict and never mixes two.
+_last_curve: tuple = (None, {})
+
+
+def _curve_memo(c: Constellation, stream: str, quality: int, seed: int) -> dict[float, float]:
+    global _last_curve
+    key = (c.symbols.tobytes(), c.labels, c.he_bits, c.le_bits, stream, quality, seed)
+    last_key, memo = _last_curve
+    if key != last_key:
+        memo = {}
+        _last_curve = (key, memo)
+    return memo
 
 
 def estimate_threshold(
@@ -363,9 +399,12 @@ def estimate_threshold(
     if not 0 < rate <= 1:
         raise ParameterError(f"code rate must lie in (0, 1], got {code_rate}")
     target = c.stream_bits(stream) * rate
+    memo = _curve_memo(c, stream, quality, seed)
 
     def mi(snr):
-        return stream_mutual_information(c, stream, snr, quality=quality, seed=seed)
+        if snr not in memo:
+            memo[snr] = stream_mutual_information(c, stream, snr, quality=quality, seed=seed)
+        return memo[snr]
 
     if mi(_SNR_CEIL_DB) < target:
         raise UnreachableThresholdError(

@@ -57,6 +57,14 @@ def _check_even(snrs) -> list[float]:
     bad = [i for i, s in enumerate(snrs) if not math.isfinite(s)]
     if bad:
         raise ParameterError(f"pairing requires finite SNRs; receivers {bad} are not")
+    # every pair difference is at most the spread, and the sums behind the
+    # plan's mean and variance at most n/2 times the spread and its square
+    spread = max(snrs) - min(snrs)
+    if not math.isfinite(spread * spread * (len(snrs) // 2)):
+        raise ParameterError(
+            f"pairing requires SNR differences whose mean and variance are "
+            f"finite; the SNRs span {spread:g} dB"
+        )
     return snrs
 
 

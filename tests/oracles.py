@@ -5,9 +5,11 @@ information uses Gauss-Hermite quadrature instead of Monte-Carlo, the
 equal-rate point enumerates segment-diagonal intersections instead of
 building a hull, matching optima come from a subset dynamic programme
 checked against enumeration, and the Bessel function is integrated
-numerically.  ``strategy_b_allpairs`` is the exception: it is the
-previous all-pairs implementation of strategy B, kept to pin the
-package's faster one to the same plans.
+numerically.  ``strategy_b_allpairs`` and ``stream_mutual_information_dense``
+are the exceptions: they are the previous implementations of strategy B
+(all pairs) and of the Monte-Carlo stream MI (one masked log-sum-exp per
+sum over a sample-major tensor), kept to pin the package's faster ones
+to the same plans and values.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from hmts.capacity import DEFAULT_MI_QUALITY, _SNR_CEIL_DB, _SNR_FLOOR_DB, _stream_masks
+from hmts.constellation import Constellation
 from hmts.errors import ParameterError
 from hmts.pairing import PairingPlan, _check_even, _sorted_order, strategy_a
 
@@ -315,3 +319,52 @@ def strategy_b_allpairs(snrs) -> PairingPlan:
         if len(pairs) == n // 2:
             break
     return PairingPlan.from_pairs(snrs, pairs)
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    hi = np.max(a, axis=axis, keepdims=True)
+    out = hi.squeeze(axis) + np.log(np.sum(np.exp(a - hi), axis=axis))
+    return out
+
+
+def stream_mutual_information_dense(
+    c: Constellation,
+    stream: str,
+    snr_db: float,
+    quality: int = DEFAULT_MI_QUALITY,
+    seed: int = 0,
+) -> float:
+    """Monte-Carlo mutual information of one stream over AWGN, bit/symbol.
+
+    ``quality`` is the total number of (symbol, noise) samples; the result
+    is reproducible for a fixed seed.
+    """
+    if not _SNR_FLOOR_DB <= snr_db <= _SNR_CEIL_DB:
+        raise ParameterError(f"snr_db must lie in [{_SNR_FLOOR_DB}, {_SNR_CEIL_DB}]")
+    if quality < 1000:
+        raise ParameterError(f"quality must be >= 1000, got {quality}")
+    universe, same = _stream_masks(c, stream)
+    syms = c.symbols
+    m = len(syms)
+    n0 = 10.0 ** (-snr_db / 10.0)  # unit symbol energy
+    rng = np.random.default_rng(seed)
+    per = -(-quality // m)  # ceil
+    noise = math.sqrt(n0 / 2.0) * (
+        rng.standard_normal((m, per)) + 1j * rng.standard_normal((m, per))
+    )
+    y = syms[:, None] + noise
+    log_w = -np.abs(y[:, :, None] - syms[None, None, :]) ** 2 / n0
+    neg_inf = -np.inf
+    lw_universe = np.where(universe[:, None, :], log_w, neg_inf)
+    lw_class = np.where(same[:, None, :], log_w, neg_inf)
+    lse_u = _logsumexp(lw_universe, axis=2)
+    lse_c = _logsumexp(lw_class, axis=2)
+    u_sizes = universe.sum(axis=1)
+    c_sizes = same.sum(axis=1)
+    if len(set(u_sizes)) != 1 or len(set(c_sizes)) != 1:
+        raise ParameterError(
+            f"{c.name}: stream classes are not uniform; cannot form stream MI"
+        )
+    n_classes = u_sizes[0] / c_sizes[0]
+    info = math.log2(n_classes) - float(np.mean(lse_u - lse_c)) / math.log(2.0)
+    return info

@@ -133,9 +133,12 @@ def test_criterion_05_matching_theorem():
 
 def test_criterion_06_pair_gain_7_10_with_estimated_thresholds():
     start = time.perf_counter()
-    entries = list(default_table().singles())
+    shipped = default_table()
+    entries = list(shipped.singles())
     for rho in (0.75, 0.80, 0.85, 0.90):
         entries.extend(estimate_hierarchical_thresholds(rho))
+    # the estimator regenerates the shipped hierarchical rows exactly
+    assert entries[len(shipped.singles()):] == [e for e in shipped if e.stream != "single"]
     table = ThresholdTable(entries)
     gain = pair_gain(7.0, 10.0, table)
     assert 0.07 <= gain <= 0.15  # 11% +/- 4 points

@@ -10,7 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hmts import capacity
 from hmts.capacity import (
     ADOPTED_APSK_GEOMETRY,
     DVBS2_CODE_RATES,
@@ -19,6 +22,7 @@ from hmts.capacity import (
     best_entry,
     best_single_rate,
     default_table,
+    estimate_hierarchical_thresholds,
     estimate_threshold,
     hierarchical_constellation,
     hierarchical_modulation_id,
@@ -27,10 +31,39 @@ from hmts.capacity import (
     select_pair,
     stream_mutual_information,
 )
-from hmts.constellation import Apsk16Params, Qam16Params, build_16apsk, build_16qam, build_uniform
+from hmts.constellation import (
+    Apsk16Params,
+    Constellation,
+    Qam16Params,
+    build_16apsk,
+    build_16qam,
+    build_hierarchical_8psk,
+    build_uniform,
+)
 from hmts.errors import ParameterError, TableError, UnreachableThresholdError
 
-from oracles import invert_mi_grid, qpsk_mi, stream_mi_quadrature
+from oracles import (
+    invert_mi_grid,
+    qpsk_mi,
+    stream_mi_quadrature,
+    stream_mutual_information_dense,
+)
+
+# (constellation, stream) pairs the kernel is checked on against the
+# dense reference kernel
+KERNEL_CASES = (
+    [(build_uniform("QPSK"), "single")]
+    + [
+        (c, stream)
+        for c in (
+            *(hierarchical_constellation(hierarchical_modulation_id(r))
+              for r in ADOPTED_APSK_GEOMETRY),
+            build_hierarchical_8psk(18.0),
+            build_16qam(Qam16Params(alpha=0.5)),
+        )
+        for stream in ("single", "HE", "LE")
+    ]
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +127,6 @@ class TestStreamMutualInformation:
             assert he + le == pytest.approx(total, abs=0.03)
 
     def test_hierarchical_8psk_chain_rule(self):
-        from hmts.constellation import build_hierarchical_8psk
-
         c = build_hierarchical_8psk(18.0)
         he = stream_mutual_information(c, "HE", 8.0, quality=60000, seed=6)
         le = stream_mutual_information(c, "LE", 8.0, quality=60000, seed=7)
@@ -110,6 +141,36 @@ class TestStreamMutualInformation:
     def test_quality_floor(self, qpsk):
         with pytest.raises(ParameterError):
             stream_mutual_information(qpsk, "single", 5.0, quality=100)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+    def test_seed_must_be_a_nonnegative_integer(self, qpsk, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            stream_mutual_information(qpsk, "single", 5.0, seed=seed)
+
+    def test_nonuniform_classes_rejected(self):
+        # two HE classes of sizes 2 and 1
+        c = Constellation(
+            name="uneven",
+            symbols=np.array([1.0, 1j, -1.0]),
+            labels=("00", "01", "10"),
+            he_bits=(0,),
+            le_bits=(1,),
+        )
+        with pytest.raises(ParameterError, match="not uniform"):
+            stream_mutual_information(c, "HE", 5.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.integers(0, len(KERNEL_CASES) - 1),
+        snr_db=st.floats(-10.0, 30.0),
+        seed=st.integers(0, 9),
+        quality=st.integers(1000, 40000),
+    )
+    def test_matches_dense_kernel(self, case, snr_db, seed, quality):
+        c, stream = KERNEL_CASES[case]
+        ours = stream_mutual_information(c, stream, snr_db, quality=quality, seed=seed)
+        dense = stream_mutual_information_dense(c, stream, snr_db, quality=quality, seed=seed)
+        assert abs(ours - dense) <= 1e-12
 
 
 class TestEstimateThreshold:
@@ -144,6 +205,98 @@ class TestEstimateThreshold:
         base = estimate_threshold(qpsk, "single", Fraction(1, 2), loss_margin_db=0.0)
         shifted = estimate_threshold(qpsk, "single", Fraction(1, 2), loss_margin_db=0.8)
         assert shifted == pytest.approx(base + 0.8, abs=1e-9)
+
+    def test_bisection_matches_dense_kernel(self, monkeypatch):
+        # three code rates and a seed per case, drawn from a fixed seed
+        rng = np.random.default_rng(7)
+        calls = [
+            (c, stream, DVBS2_CODE_RATES[k], int(rng.integers(10)))
+            for c, stream in KERNEL_CASES
+            for k in rng.choice(len(DVBS2_CODE_RATES), size=3, replace=False)
+        ]
+
+        def thresholds():
+            out = []
+            for c, stream, rate, seed in calls:
+                try:
+                    out.append(estimate_threshold(
+                        c, stream, rate, quality=4000, loss_margin_db=0.0, seed=seed
+                    ))
+                except UnreachableThresholdError:
+                    out.append(None)
+            return out
+
+        ours = thresholds()
+        with monkeypatch.context() as mp:
+            mp.setattr(capacity, "stream_mutual_information", stream_mutual_information_dense)
+            mp.setattr(capacity, "_last_curve", (None, {}))
+            dense = thresholds()
+        assert ours == dense
+        assert sum(th is not None for th in ours) >= len(calls) // 2
+
+
+def _evict_curve_memo():
+    """Bisect an unrelated curve, so that the next call starts cold."""
+    estimate_threshold(build_uniform("QPSK"), "single", Fraction(1, 2), quality=1000)
+
+
+class TestCurveMemo:
+    @pytest.fixture
+    def mi_calls(self, monkeypatch):
+        calls = []
+        kernel = capacity.stream_mutual_information
+
+        def counted(c, stream, snr_db, **kwargs):
+            calls.append((stream, snr_db))
+            return kernel(c, stream, snr_db, **kwargs)
+
+        monkeypatch.setattr(capacity, "stream_mutual_information", counted)
+        return calls
+
+    def test_evaluations_at_rho_080(self, mi_calls):
+        _evict_curve_memo()
+        mi_calls.clear()
+        entries = estimate_hierarchical_thresholds(0.8)
+        assert len(entries) == 22
+        # 14 per threshold (308) when every bisection starts cold
+        assert len(mi_calls) == 183
+        assert len(set(mi_calls)) == len(mi_calls)
+
+    def test_repeated_threshold_makes_no_evaluation(self, apsk_08, mi_calls):
+        first = estimate_threshold(apsk_08, "HE", Fraction(2, 3), quality=2000)
+        n_calls = len(mi_calls)
+        assert estimate_threshold(apsk_08, "HE", Fraction(2, 3), quality=2000) == first
+        assert len(mi_calls) == n_calls
+
+    def test_interleaved_curves_equal_cold_calls(self):
+        constellations = (
+            hierarchical_constellation("H16APSK-0.80"),
+            hierarchical_constellation("H16APSK-0.85"),
+        )
+
+        def curve(g):
+            # bit b of g picks the value of one key component
+            return (
+                constellations[g & 1],
+                ("HE", "LE")[g >> 1 & 1],
+                (1000, 2000)[g >> 2 & 1],
+                (0, 1)[g >> 3 & 1],
+            )
+
+        rates = (Fraction(1, 2), Fraction(2, 3))
+        # Gray order: consecutive curves differ in exactly one component
+        order = [i ^ (i >> 1) for i in range(16)]
+        cold = {}
+        for g in order:
+            c, stream, quality, seed = curve(g)
+            for rate in rates:
+                _evict_curve_memo()
+                cold[g, rate] = estimate_threshold(c, stream, rate, quality=quality, seed=seed)
+        for g in order + order[::-1]:
+            c, stream, quality, seed = curve(g)
+            for rate in rates:
+                got = estimate_threshold(c, stream, rate, quality=quality, seed=seed)
+                assert got == cold[g, rate], (g, rate)
 
 
 class TestRhoTradeoff:

@@ -200,6 +200,17 @@ class TestPairingCommand:
         assert "finite" in err
         assert not list(tmp_path.glob("pairing_*.csv"))
 
+    @pytest.mark.parametrize("strategy", ["A", "B", "C", "D"])
+    def test_overflowing_snr_spread_exit_2(self, tmp_path, capsys, strategy):
+        code, _, err = run_cli(
+            ["--out-dir", str(tmp_path), "pairing", "--strategy", strategy,
+             "--snrs=1e308,-1e308,0,1"],
+            capsys,
+        )
+        assert code == 2
+        assert "finite" in err
+        assert not list(tmp_path.iterdir())
+
     def test_nan_population_row_exit_2(self, tmp_path, capsys):
         pop_file = tmp_path / "pop.csv"
         pop_file.write_text(

@@ -1,5 +1,7 @@
 """Grouping strategy tests against enumeration oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,23 @@ class TestStrategyA:
 def test_non_finite_snrs_rejected(strategy, bad):
     with pytest.raises(ParameterError, match="finite"):
         strategy([bad, 1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("strategy", [strategy_a, strategy_b, strategy_c, strategy_d])
+@pytest.mark.parametrize("snrs", [
+    [1e308, -1e308, 0.0, 1.0],  # one difference overflows
+    [1.7e308, 0.0, 1.7e308, 0.0],  # each difference finite, their sum not
+    [1e200, -1e200, 0.0, 1.0],  # the mean finite, the variance not
+])
+def test_overflowing_snr_spread_rejected(strategy, snrs):
+    with pytest.raises(ParameterError, match="finite"):
+        strategy(snrs)
+
+
+@pytest.mark.parametrize("strategy", [strategy_a, strategy_b, strategy_c, strategy_d])
+def test_wide_finite_spread_accepted(strategy):
+    plan = strategy([1e150, -1e150, 0.0, 1.0])
+    assert math.isfinite(plan.delta_avg) and math.isfinite(plan.delta_variance)
 
 
 class TestStrategyB:
