@@ -69,6 +69,9 @@ _HIER_PREFIX = "H16APSK-"
 
 DEFAULT_MI_QUALITY = 20000
 DEFAULT_LOSS_MARGIN_DB = 0.8
+# an implementation loss beyond this is no longer a margin on the MI
+# threshold; NaN and inf fail the range check too
+_MAX_LOSS_MARGIN_DB = 10.0
 
 _SNR_FLOOR_DB = -10.0
 _SNR_CEIL_DB = 30.0
@@ -390,7 +393,7 @@ def estimate_threshold(
 ) -> float:
     """Decoding threshold (dB): smallest SNR at which the stream mutual
     information reaches ``stream bits * code_rate``, bisected to 0.01 dB,
-    plus the implementation-loss margin.
+    plus the implementation-loss margin, which must lie in [0, 10] dB.
     """
     try:
         rate = float(Fraction(code_rate))
@@ -398,6 +401,10 @@ def estimate_threshold(
         raise ParameterError(f"bad code rate {code_rate!r}") from None
     if not 0 < rate <= 1:
         raise ParameterError(f"code rate must lie in (0, 1], got {code_rate}")
+    if not 0.0 <= loss_margin_db <= _MAX_LOSS_MARGIN_DB:
+        raise ParameterError(
+            f"loss margin must lie in [0, {_MAX_LOSS_MARGIN_DB:g}] dB, got {loss_margin_db}"
+        )
     target = c.stream_bits(stream) * rate
     memo = _curve_memo(c, stream, quality, seed)
 

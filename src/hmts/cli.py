@@ -17,6 +17,8 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
+
 from . import capacity, channel, pairing, rates, sim
 from ._csv import atomic_writer
 from .constellation import Apsk16Params, build_16apsk, solution_set
@@ -196,24 +198,25 @@ def cmd_rates_pair(args) -> int:
 
 def cmd_rates_grid(args) -> int:
     cache = sim.PairRateCache(args.table)
+    n = int(round((args.max - args.min) / args.step))
+    grid = args.min + np.arange(n + 1) * args.step
+    labels = [f"{s:.10g}" for s in grid.tolist()]
+    single = cache.best_single_rate(grid)
     path = _out_path(args, "rates_gain_grid.csv")
     with atomic_writer(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["snr1_db", "snr2_db", "gain"])
-        n = int(round((args.max - args.min) / args.step))
-        grid = [args.min + k * args.step for k in range(n + 1)]
-        for s1 in grid:
-            for s2 in grid:
-                if s2 < s1:
-                    continue
-                r1 = cache.best_single_rate(s1)
-                r2 = cache.best_single_rate(s2)
-                if r1 <= 0 or r2 <= 0:
-                    gain = ""
-                else:
-                    r_ts = rates.ts_rate_two(r1, r2).per_receiver_rate
-                    gain = f"{cache.pair_rate(s1, s2) / r_ts - 1.0:.10g}"
-                writer.writerow([f"{s1:.10g}", f"{s2:.10g}", gain])
+        for s1, label, r1 in zip(grid.tolist(), labels, single.tolist()):
+            cols = np.flatnonzero(grid >= s1)
+            served = (single[cols] > 0) & (r1 > 0)
+            gains = np.zeros(len(cols))
+            r2 = single[cols[served]]
+            r_ts = r1 * r2 / (r1 + r2)  # rates.ts_rate_two's per-receiver rate
+            gains[served] = cache.pair_rate(s1, grid[cols[served]]) / r_ts - 1.0
+            writer.writerows(
+                (label, labels[c], f"{g:.10g}" if ok else "")
+                for c, g, ok in zip(cols.tolist(), gains.tolist(), served.tolist())
+            )
     print(path)
     return 0
 

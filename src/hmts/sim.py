@@ -14,18 +14,19 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import itertools
+import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._csv import atomic_writer
-from .capacity import ThresholdTable, best_single_rate, default_table
+from .capacity import ThresholdTable, best_entry, default_table
 from .channel import BeamConfig, WeatherCdf, default_weather_cdf, generate_population, write_population
 from .errors import DegenerateRateError, ParameterError
 from .pairing import STRATEGIES, run_strategy
-from .rates import hierarchical_gain, max_min_weighted, operating_points
+from .rates import hierarchical_gain
 
 __all__ = [
     "ScenarioConfig",
@@ -135,92 +136,223 @@ class GainReport:
                 )
 
 
+# rows per call of _max_min_rates in a pair-table build
+_SLICE = 256
+
+
 class PairRateCache:
-    """Memoised per-pair and per-receiver rate lookups for one table.
+    """Dense rate tables for one threshold table, looked up by arrays.
 
     Thresholds quantise the SNR axis: two SNRs falling between the same
-    adjacent thresholds decode exactly the same modcod sets, so results
-    are cached per threshold bucket.
+    adjacent thresholds decode exactly the same modcod sets, so every
+    rate is a function of the threshold bucket.  The constructor keeps,
+    per bucket, the best single-stream efficiency and the best HE and LE
+    efficiency of each hierarchical modulation (0 where nothing
+    decodes).  The pair rates of all bucket pairs are tabulated for a
+    weight pair on its first lookup.
     """
 
     def __init__(self, table: ThresholdTable):
         self.table = table
-        self._breaks = sorted({e.threshold_db for e in table.entries})
-        self._pair_cache: dict = {}
-        self._single_cache: dict = {}
+        self._breaks = np.array(sorted({e.threshold_db for e in table.entries}))
+        # bucket b decodes exactly the entries with threshold <= breaks[b - 1]
+        snrs = [-math.inf, *self._breaks.tolist()]
+        mods = table.hierarchical_modulations()
+        self._single = np.array(_best_efficiencies(table.singles(), snrs))
+        # what each bucket offers as the worse and as the better receiver
+        self._lo = np.column_stack(
+            [self._single, *(_best_efficiencies(table.entries_for(m, "HE"), snrs) for m in mods)]
+        )
+        self._hi = np.column_stack(
+            [self._single, *(_best_efficiencies(table.entries_for(m, "LE"), snrs) for m in mods)]
+        )
+        self._pair_tables: dict[tuple[int, int], np.ndarray] = {}
 
-    def _bucket(self, snr_db: float) -> int:
-        return bisect_right(self._breaks, snr_db)
-
-    def best_single_rate(self, snr_db: float) -> float:
-        if snr_db != snr_db:
+    def _buckets(self, snr_db) -> np.ndarray:
+        """Threshold bucket of each SNR: the number of thresholds <= it."""
+        snr = np.asarray(snr_db, dtype=float)
+        # searchsorted would file NaN into the top bucket
+        if np.isnan(snr).any():
             raise ParameterError("snr_db must not be NaN")
-        b = self._bucket(snr_db)
-        try:
-            return self._single_cache[b]
-        except KeyError:
-            rate = self._single_cache[b] = best_single_rate(self.table, snr_db)
-            return rate
+        return np.searchsorted(self._breaks, snr, side="right")
 
-    def pair_rate(self, snr1: float, snr2: float, w1: int = 1, w2: int = 1) -> float:
-        """Best common per-receiver rate of a pair (weighted equal rate)."""
-        if snr1 != snr1 or snr2 != snr2:
-            raise ParameterError("snr_db must not be NaN")
-        if snr1 > snr2:
-            snr1, snr2 = snr2, snr1
-            w1, w2 = w2, w1
-        key = (self._bucket(snr1), self._bucket(snr2), w1, w2)
-        try:
-            return self._pair_cache[key]
-        except KeyError:
-            points = operating_points(snr1, snr2, self.table)
-            rate = max_min_weighted(points, w1, w2)
-            self._pair_cache[key] = rate
-            return rate
+    def best_single_rate(self, snr_db):
+        """Best single-stream rate at each SNR (0 where nothing decodes)."""
+        return self._single[self._buckets(snr_db)]
+
+    def pair_rate(self, snr1, snr2, w1=1, w2=1):
+        """Best common per-receiver rate of each pair (weighted equal
+        rate); the arguments broadcast against each other."""
+        s1, s2 = np.asarray(snr1, dtype=float), np.asarray(snr2, dtype=float)
+        b1, b2 = self._buckets(s1), self._buckets(s2)
+        w1, w2 = _check_weights(w1), _check_weights(w2)
+        swap = s1 > s2
+        b_lo, b_hi, w_lo, w_hi = np.broadcast_arrays(
+            np.where(swap, b2, b1), np.where(swap, b1, b2),
+            np.where(swap, w2, w1), np.where(swap, w1, w2),
+        )
+        if w_lo.size and w_lo.min() == w_lo.max() and w_hi.min() == w_hi.max():
+            # one weight pair, the usual case: no masks
+            return self._pair_table(int(w_lo.flat[0]), int(w_hi.flat[0]))[b_lo, b_hi]
+        out = np.empty(b_lo.shape)
+        for u, v in set(zip(w_lo.ravel().tolist(), w_hi.ravel().tolist())):
+            sel = (w_lo == u) & (w_hi == v)
+            out[sel] = self._pair_table(u, v)[b_lo[sel], b_hi[sel]]
+        return out[()]
+
+    def _pair_table(self, w_lo: int, w_hi: int) -> np.ndarray:
+        """Pair rates [b_lo, b_hi], meaningful for b_lo <= b_hi; each
+        distinct (worse, better) offer pair is computed once."""
+        table = self._pair_tables.get((w_lo, w_hi))
+        if table is None:
+            lo_offers, lo_id = _distinct_rows(self._lo)
+            hi_offers, hi_id = _distinct_rows(self._hi)
+            needed = np.zeros((len(lo_offers), len(hi_offers)), dtype=bool)
+            for b, offer in enumerate(lo_id):  # the buckets b_hi >= b_lo
+                needed[offer, hi_id[b:]] = True
+            i, j = np.nonzero(needed)
+            rates = np.full(needed.shape, np.nan)
+            # in slices, so that the pass's temporaries stay small
+            for k in range(0, len(i), _SLICE):
+                ik, jk = i[k:k + _SLICE], j[k:k + _SLICE]
+                rates[ik, jk] = _max_min_rates(lo_offers[ik] / w_lo, hi_offers[jk] / w_hi)
+            table = self._pair_tables[(w_lo, w_hi)] = rates[lo_id[:, None], hi_id]
+        return table
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows, in first-seen order, and each row's index
+    among them."""
+    ids: dict[tuple, int] = {}
+    index = [ids.setdefault(row, len(ids)) for row in map(tuple, rows.tolist())]
+    return np.array(list(ids)), np.array(index)
+
+
+def _best_efficiencies(entries, snrs) -> list[float]:
+    """Efficiency of ``capacity.best_entry`` at each SNR, 0 where nothing
+    decodes."""
+    best = [best_entry(entries, s) for s in snrs]
+    return [e.spectral_efficiency if e else 0.0 for e in best]
+
+
+def _check_weights(weight) -> np.ndarray:
+    w = np.asarray(weight)
+    if w.dtype.kind not in "iu" or (w < 1).any():
+        raise ParameterError(f"weights must be integers >= 1, got {weight!r}")
+    return w
+
+
+def _max_min_rates(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``rates.max_min_weighted`` of many point sets at once, value for
+    value.
+
+    Row k of ``lo`` holds (single, HE of each hierarchical modulation)
+    of the worse receiver and row k of ``hi`` (single, LE of each) of
+    the better one, both divided by the weights; 0 means nothing
+    decodes.  The point set is ``rates.augmented_hull``'s.  Its lower
+    chain is always the origin, (max x, 0) and (max x, max y there):
+    every pop decision on the way multiplies by an exact zero.  Those
+    two edges give 0 and the min of the upper chain's first vertex, so
+    the max over the hull is the max over the upper chain's edges,
+    including the closing edge to the origin.  The upper chain is
+    rebuilt here with the same sort, the same cross products and the
+    same pops, and each edge gets ``rates._segment_best_min``'s
+    arithmetic, so no value is computed another way.
+    """
+    n, k = lo.shape[0], lo.shape[1] - 1
+    hx, hy = lo[:, 1:], hi[:, 1:]
+    both = (hx > 0) & (hy > 0)
+    hx, hy = np.where(both, hx, 0.0), np.where(both, hy, 0.0)
+    zero, zeros = np.zeros((n, 1)), np.zeros((n, k))
+    # origin, the two single points, each hierarchical point and its two
+    # projections; a missing point falls on the origin
+    x = np.hstack([zero, lo[:, :1], zero, hx, hx, zeros])
+    y = np.hstack([zero, zero, hi[:, :1], hy, zeros, hy])
+    order = np.lexsort((y, x))[:, ::-1]  # descending (x, y), as reversed(sorted(...))
+    x, y = np.take_along_axis(x, order, 1), np.take_along_axis(y, order, 1)
+    distinct = np.ones(x.shape, dtype=bool)
+    distinct[:, 1:] = (x[:, 1:] != x[:, :-1]) | (y[:, 1:] != y[:, :-1])
+
+    rows = np.arange(n)
+    sx, sy = np.zeros(x.shape), np.zeros(x.shape)  # the chain of each row
+    top = np.zeros(n, dtype=np.intp)
+    for col in range(x.shape[1]):
+        px, py = x[:, col], y[:, col]
+        live = rows[distinct[:, col]]
+        pending = live[top[live] >= 2]
+        while pending.size:
+            h = top[pending]
+            ox, oy = sx[pending, h - 2], sy[pending, h - 2]
+            ax, ay = sx[pending, h - 1], sy[pending, h - 1]
+            bx, by = px[pending], py[pending]
+            pending = pending[(ax - ox) * (by - oy) - (ay - oy) * (bx - ox) <= 0]
+            top[pending] -= 1
+            pending = pending[top[pending] >= 2]
+        h = top[live]
+        sx[live, h], sy[live, h] = px[live], py[live]
+        top[live] += 1
+
+    best = np.zeros(n)
+    for e in range(1, top.max()):  # the edge from vertex e - 1 to vertex e
+        px, py, qx, qy = sx[:, e - 1], sy[:, e - 1], sx[:, e], sy[:, e]
+        seg = np.maximum(np.minimum(px, py), np.minimum(qx, qy))
+        dx, dy = qx - px, qy - py
+        denom = dx - dy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (py - px) / denom
+        crosses = (denom != 0.0) & (0.0 < t) & (t < 1.0)
+        seg = np.where(crosses, np.maximum(seg, px + t * dx), seg)
+        best = np.where(top > e, np.maximum(best, seg), best)
+    return best
 
 
 def _as_cache(table) -> PairRateCache:
     return table if isinstance(table, PairRateCache) else PairRateCache(table)
 
 
-def run_trial(receivers, strategy: str, table, seed=0):
+def run_trial(snr_db, weight, strategy: str, table, seed=0):
     """One trial: (classical rate, hierarchical rate, gain, excluded).
 
-    ``receivers`` is a list of Receiver; ``strategy`` one of A-D.  The
-    returned rates are per served receiver; ``excluded`` lists the indices
-    that decode nothing and take part in neither scheme.
+    ``snr_db`` and ``weight`` hold one SNR (dB, finite) and one weight
+    (integer >= 1, the receivers a terminal serves) per terminal;
+    ``strategy`` is one of A-D.  The returned rates are per served
+    receiver; ``excluded`` lists the indices that decode nothing and
+    take part in neither scheme.
     """
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}")
+    snr = np.asarray(snr_db, dtype=float)
+    weight = _check_weights(weight)
+    if snr.ndim != 1 or weight.shape != snr.shape:
+        raise ParameterError("run_trial needs one weight per SNR, as 1-D arrays")
+    if not np.isfinite(snr).all():
+        raise ParameterError("snr_db must be finite")
     cache = _as_cache(table)
-    rates = [cache.best_single_rate(r.snr_db) for r in receivers]
-    excluded = tuple(i for i, rate in enumerate(rates) if rate <= 0)
-    active = [i for i in range(len(receivers)) if rates[i] > 0]
-    if not active:
+    rates = cache.best_single_rate(snr)
+    decodes = rates > 0
+    excluded = tuple(np.flatnonzero(~decodes).tolist())
+    active = np.flatnonzero(decodes)
+    if not active.size:
         raise DegenerateRateError(
             "no receiver can decode any modcod", receivers=excluded
         )
+    # np.cumsum adds left to right, as the reference run_trial_scalar in
+    # tests/oracles.py does; np.sum adds pairwise, which rounds differently
+    classical = 1.0 / np.cumsum(weight[active] / rates[active])[-1]
 
-    inv_classical = sum(receivers[i].weight / rates[i] for i in active)
-    classical = 1.0 / inv_classical
-
-    pool = sorted(active, key=lambda i: (receivers[i].snr_db, i))
-    solo = None
+    pool = active[np.argsort(snr[active], kind="stable")]
+    inv = []
     if len(pool) % 2:
-        solo = pool.pop(len(pool) // 2)  # keep the middle receiver single
-    inv_hier = 0.0
-    if solo is not None:
-        inv_hier += receivers[solo].weight / rates[solo]
-    if pool:
-        snrs = [receivers[i].snr_db for i in pool]
-        for a, b in run_strategy(strategy, snrs, seed).pairs:
-            i, j = pool[a], pool[b]
-            r_pair = cache.pair_rate(
-                receivers[i].snr_db, receivers[j].snr_db,
-                receivers[i].weight, receivers[j].weight,
-            )
-            inv_hier += 1.0 / r_pair
-    hier = 1.0 / inv_hier
+        solo = pool[len(pool) // 2]  # keep the middle receiver single
+        pool = np.delete(pool, len(pool) // 2)
+        inv.append([weight[solo] / rates[solo]])
+    if pool.size:
+        plan = run_strategy(strategy, snr[pool].tolist(), seed)
+        pairs = np.fromiter(itertools.chain.from_iterable(plan.pairs), np.intp)
+        i, j = pool[pairs.reshape(-1, 2).T]
+        inv.append(1.0 / cache.pair_rate(snr[i], snr[j], weight[i], weight[j]))
+    hier = 1.0 / np.cumsum(np.concatenate(inv))[-1]
+    classical, hier = float(classical), float(hier)
     return classical, hier, hierarchical_gain(hier, classical), excluded
 
 
@@ -270,9 +402,12 @@ def run_scenario(
                 if population_dir is not None:
                     name = f"population_snr{snr_max:g}_share{share:g}_trial{trial}.csv"
                     write_population(population, os.path.join(population_dir, name))
+                snrs = np.array([r.snr_db for r in population])
+                weights = np.array([r.weight for r in population])
+                del population  # two populations are never alive at once
                 for strategy in cfg.strategies:
                     classical, hier, gain, excluded = run_trial(
-                        population, strategy, cache, seed=strat_seed
+                        snrs, weights, strategy, cache, seed=strat_seed
                     )
                     records.append(
                         GainRecord(

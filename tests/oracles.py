@@ -5,26 +5,38 @@ information uses Gauss-Hermite quadrature instead of Monte-Carlo, the
 equal-rate point enumerates segment-diagonal intersections instead of
 building a hull, matching optima come from a subset dynamic programme
 checked against enumeration, and the Bessel function is integrated
-numerically.  ``strategy_b_allpairs`` and ``stream_mutual_information_dense``
-are the exceptions: they are the previous implementations of strategy B
-(all pairs) and of the Monte-Carlo stream MI (one masked log-sum-exp per
-sum over a sample-major tensor), kept to pin the package's faster ones
-to the same plans and values.
+numerically.  ``strategy_b_allpairs``, ``stream_mutual_information_dense``,
+``PairRateCacheScalar`` and ``run_trial_scalar`` are the exceptions: they
+are the previous implementations of strategy B (all pairs), of the
+Monte-Carlo stream MI (one masked log-sum-exp per sum over a
+sample-major tensor) and of the per-receiver trial with its memoised
+pair rates (``rates.operating_points`` and ``rates.max_min_weighted``
+per bucket pair), kept to pin the package's faster ones to the same
+plans and values.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from hmts.capacity import DEFAULT_MI_QUALITY, _SNR_CEIL_DB, _SNR_FLOOR_DB, _stream_masks
+from hmts.capacity import (
+    DEFAULT_MI_QUALITY,
+    _SNR_CEIL_DB,
+    _SNR_FLOOR_DB,
+    ThresholdTable,
+    _stream_masks,
+    best_single_rate,
+)
 from hmts.constellation import Constellation
-from hmts.errors import ParameterError
-from hmts.pairing import PairingPlan, _check_even, _sorted_order, strategy_a
+from hmts.errors import DegenerateRateError, ParameterError
+from hmts.pairing import STRATEGIES, PairingPlan, _check_even, _sorted_order, run_strategy, strategy_a
+from hmts.rates import hierarchical_gain, max_min_weighted, operating_points
 
 
 def mi_quadrature(symbols, tx_labels, cond_labels, snr_db, order=48):
@@ -368,3 +380,87 @@ def stream_mutual_information_dense(
     n_classes = u_sizes[0] / c_sizes[0]
     info = math.log2(n_classes) - float(np.mean(lse_u - lse_c)) / math.log(2.0)
     return info
+
+
+class PairRateCacheScalar:
+    """Memoised per-pair and per-receiver rate lookups for one table: the
+    reference for ``hmts.sim.PairRateCache``, one scalar at a time.
+
+    Thresholds quantise the SNR axis: two SNRs falling between the same
+    adjacent thresholds decode exactly the same modcod sets, so results
+    are cached per threshold bucket.
+    """
+
+    def __init__(self, table: ThresholdTable):
+        self.table = table
+        self._breaks = sorted({e.threshold_db for e in table.entries})
+        self._pair_cache: dict = {}
+        self._single_cache: dict = {}
+
+    def _bucket(self, snr_db: float) -> int:
+        return bisect_right(self._breaks, snr_db)
+
+    def best_single_rate(self, snr_db: float) -> float:
+        if snr_db != snr_db:
+            raise ParameterError("snr_db must not be NaN")
+        b = self._bucket(snr_db)
+        try:
+            return self._single_cache[b]
+        except KeyError:
+            rate = self._single_cache[b] = best_single_rate(self.table, snr_db)
+            return rate
+
+    def pair_rate(self, snr1: float, snr2: float, w1: int = 1, w2: int = 1) -> float:
+        """Best common per-receiver rate of a pair (weighted equal rate)."""
+        if snr1 != snr1 or snr2 != snr2:
+            raise ParameterError("snr_db must not be NaN")
+        if snr1 > snr2:
+            snr1, snr2 = snr2, snr1
+            w1, w2 = w2, w1
+        key = (self._bucket(snr1), self._bucket(snr2), w1, w2)
+        try:
+            return self._pair_cache[key]
+        except KeyError:
+            points = operating_points(snr1, snr2, self.table)
+            rate = max_min_weighted(points, w1, w2)
+            self._pair_cache[key] = rate
+            return rate
+
+
+def run_trial_scalar(receivers, strategy: str, table, seed=0):
+    """One trial over a list of Receiver, one receiver at a time: the
+    reference for ``hmts.sim.run_trial``, with the same return value."""
+    if strategy not in STRATEGIES:
+        raise ParameterError(f"unknown strategy {strategy!r}")
+    cache = table if isinstance(table, PairRateCacheScalar) else PairRateCacheScalar(table)
+    rates = [cache.best_single_rate(r.snr_db) for r in receivers]
+    excluded = tuple(i for i, rate in enumerate(rates) if rate <= 0)
+    active = [i for i in range(len(receivers)) if rates[i] > 0]
+    if not active:
+        raise DegenerateRateError(
+            "no receiver can decode any modcod", receivers=excluded
+        )
+
+    inv_classical = 0.0
+    for i in active:
+        inv_classical += receivers[i].weight / rates[i]
+    classical = 1.0 / inv_classical
+
+    pool = sorted(active, key=lambda i: (receivers[i].snr_db, i))
+    solo = None
+    if len(pool) % 2:
+        solo = pool.pop(len(pool) // 2)  # keep the middle receiver single
+    inv_hier = 0.0
+    if solo is not None:
+        inv_hier += receivers[solo].weight / rates[solo]
+    if pool:
+        snrs = [receivers[i].snr_db for i in pool]
+        for a, b in run_strategy(strategy, snrs, seed).pairs:
+            i, j = pool[a], pool[b]
+            r_pair = cache.pair_rate(
+                receivers[i].snr_db, receivers[j].snr_db,
+                receivers[i].weight, receivers[j].weight,
+            )
+            inv_hier += 1.0 / r_pair
+    hier = 1.0 / inv_hier
+    return classical, hier, hierarchical_gain(hier, classical), excluded

@@ -205,6 +205,15 @@ class TestEstimateThreshold:
         base = estimate_threshold(qpsk, "single", Fraction(1, 2), loss_margin_db=0.0)
         shifted = estimate_threshold(qpsk, "single", Fraction(1, 2), loss_margin_db=0.8)
         assert shifted == pytest.approx(base + 0.8, abs=1e-9)
+        # both ends of the allowed range
+        assert estimate_threshold(qpsk, "single", Fraction(1, 2), loss_margin_db=10.0) == (
+            pytest.approx(base + 10.0, abs=1e-9)
+        )
+
+    @pytest.mark.parametrize("margin", [1e308, -100.0, -0.01, 10.01, math.nan, math.inf])
+    def test_margin_out_of_range(self, qpsk, margin):
+        with pytest.raises(ParameterError, match="loss margin"):
+            estimate_threshold(qpsk, "single", Fraction(1, 2), loss_margin_db=margin)
 
     def test_bisection_matches_dense_kernel(self, monkeypatch):
         # three code rates and a seed per case, drawn from a fixed seed

@@ -85,6 +85,17 @@ class TestThresholdsCommand:
         table = load_thresholds(path)
         assert len(table) == 4
 
+    @pytest.mark.parametrize("margin", ["1e308", "-100", "nan", "inf"])
+    def test_margin_out_of_range_exit_2(self, margin, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["--out-dir", str(tmp_path), "thresholds", "estimate", "--rho", "0.8",
+             "--rates", "1/2", "--quality", "1000", f"--margin={margin}"],
+            capsys,
+        )
+        assert code == 2
+        assert "loss margin" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestRatesCommand:
     def test_pair_output(self, tmp_path, capsys):

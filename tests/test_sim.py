@@ -1,21 +1,29 @@
 """Trial and scenario harness tests."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hmts.capacity import default_table
-from hmts.channel import Receiver
+from hmts.capacity import DVBS2_CODE_RATES, ModCod, ThresholdTable, default_table
+from hmts.channel import BeamConfig, Receiver, default_weather_cdf, generate_population
 from hmts.errors import DegenerateRateError, ParameterError
-from hmts.rates import max_min_weighted, operating_points, pair_gain
+from hmts.rates import RatePair, max_min_weighted, operating_points, pair_gain
 from hmts.sim import (
     GainRecord,
     GainReport,
     PairRateCache,
     ScenarioConfig,
+    _max_min_rates,
     run_scenario,
     run_trial,
     summarize,
 )
+
+from oracles import PairRateCacheScalar, max_min_rate_exhaustive, run_trial_scalar
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +36,25 @@ def cache(table):
     return PairRateCache(table)
 
 
+def bucket_snrs(table):
+    """One SNR in each threshold bucket: below the lowest threshold,
+    then each threshold itself."""
+    breaks = sorted({e.threshold_db for e in table.entries})
+    return np.array([breaks[0] - 1.0, *breaks])
+
+
+def assert_table_equals_scalar(table, weight_pairs):
+    """Every bucket pair's rate equals the scalar cache's, exactly."""
+    snrs = bucket_snrs(table)
+    i, j = np.triu_indices(len(snrs))
+    cache, oracle = PairRateCache(table), PairRateCacheScalar(table)
+    for w1, w2 in weight_pairs:
+        got = cache.pair_rate(snrs[i], snrs[j], w1, w2).tolist()
+        want = [oracle.pair_rate(snrs[a], snrs[b], w1, w2) for a, b in zip(i, j)]
+        assert got == want, (w1, w2)
+    assert cache.best_single_rate(snrs).tolist() == [oracle.best_single_rate(s) for s in snrs]
+
+
 class TestPairRateCache:
     def test_matches_direct_computation(self, table, cache):
         rng = np.random.default_rng(3)
@@ -37,14 +64,18 @@ class TestPairRateCache:
             direct = max_min_weighted(
                 operating_points(s1, s2, table), int(w1), int(w2)
             )
-            assert cache.pair_rate(s1, s2, int(w1), int(w2)) == pytest.approx(
-                direct, abs=1e-12
-            )
+            assert cache.pair_rate(s1, s2, int(w1), int(w2)) == direct
 
-    def test_order_canonicalisation(self, cache):
+    def test_order_canonicalisation(self, table, cache):
         a = cache.pair_rate(7.0, 10.0, 2, 1)
         b = cache.pair_rate(10.0, 7.0, 1, 2)
         assert a == b
+        # within one bucket the SNRs, not the buckets, say which is worse
+        oracle = PairRateCacheScalar(table)
+        assert cache._buckets(7.1) == cache._buckets(7.15)
+        for s1, s2 in ((7.15, 7.1), (7.1, 7.15)):
+            assert cache.pair_rate(s1, s2, 2, 1) == oracle.pair_rate(s1, s2, 2, 1)
+        assert cache.pair_rate(7.15, 7.1, 2, 1) != cache.pair_rate(7.1, 7.15, 2, 1)
 
     def test_single_rate_matches_table(self, table, cache):
         from hmts.capacity import best_single_rate
@@ -62,62 +93,180 @@ class TestPairRateCache:
         # a refused NaN files nothing into the top bucket
         assert fresh.best_single_rate(20.0) == 3.6
 
+    # the presets' rho set keeps the whole shipped table; the one-rho and
+    # two-rho subsets are those of other scenarios
+    @pytest.mark.parametrize("rho_set", [
+        ScenarioConfig().rho_set, (0.75,), (0.9,), (0.8, 0.85),
+    ], ids=["presets", "rho0.75", "rho0.9", "rho0.8+0.85"])
+    def test_every_bucket_pair_equals_scalar_cache(self, table, rho_set):
+        weight_pairs = list(itertools.product((1, 2, 3), repeat=2))
+        if rho_set == ScenarioConfig().rho_set:
+            # a max over all chords is one ulp off in 188 pairs at (1, 5)
+            weight_pairs.append((1, 5))
+        assert_table_equals_scalar(table.filter_rho(rho_set), weight_pairs)
+
+    def test_collinear_point_takes_the_hull_edge(self):
+        # (1.8, 1.6) lies on the hull edge (3, 0)-(5/3, 16/9); the hull
+        # drops it, and the sub-edge from it crosses the diagonal one ulp
+        # higher than the whole edge does
+        for snr_hi_single in (2.0, 3.0, 3.6):
+            points = [RatePair(3.0, 0.0), RatePair(0.0, snr_hi_single),
+                      RatePair(5 / 3, 16 / 9), RatePair(1.8, 1.6)]
+            got = _max_min_rates(np.array([[3.0, 5 / 3, 1.8]]),
+                                 np.array([[snr_hi_single, 16 / 9, 1.6]]))
+            assert got.tolist() == [max_min_weighted(points)]
+            assert max_min_rate_exhaustive(points) != max_min_weighted(points)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_tables_equal_scalar_cache(self, data):
+        # thresholds on a quarter-dB grid, so buckets and efficiencies tie
+        def group(modulation, stream):
+            rates = sorted(data.draw(st.sets(st.sampled_from(DVBS2_CODE_RATES), max_size=5)))
+            quarters = sorted(data.draw(st.sets(st.integers(-12, 80), min_size=len(rates),
+                                                max_size=len(rates))))
+            return [ModCod(modulation, r, stream, q / 4) for r, q in zip(rates, quarters)]
+
+        entries = [ModCod("QPSK", Fraction(1, 2), "single", data.draw(st.integers(-4, 8)) / 4)]
+        for mod in ("8PSK", "16APSK"):
+            entries += group(mod, "single")
+        for rho in data.draw(st.sets(st.sampled_from(("0.70", "0.75", "0.80", "0.90")), max_size=3)):
+            entries += group(f"H16APSK-{rho}", "HE") + group(f"H16APSK-{rho}", "LE")
+        weights = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+        assert_table_equals_scalar(ThresholdTable(entries), [(1, 1), weights])
+
+    def test_arrays_in_arrays_out(self, cache):
+        snrs = np.array([[7.0, 10.0], [12.0, -8.0]])
+        got = cache.pair_rate(snrs, 9.0, np.array([1, 2]), 1)
+        assert got.shape == (2, 2)
+        assert got[0, 1] == cache.pair_rate(10.0, 9.0, 2, 1)
+        assert cache.best_single_rate(snrs).shape == (2, 2)
+
+    @pytest.mark.parametrize("weight", [0, -1, 1.0, 1.5, True, np.array([1, 0])])
+    def test_weights_must_be_integers_at_least_one(self, cache, weight):
+        with pytest.raises(ParameterError, match="weights"):
+            cache.pair_rate(np.array([7.0, 8.0]), 10.0, weight, 1)
+
+
+def receivers(snrs, weights=None):
+    weights = [1] * len(snrs) if weights is None else weights
+    return [Receiver(float(s), weight=int(w)) for s, w in zip(snrs, weights)]
+
+
+def assert_trial_matches_scalar(snrs, weights, strategy, seed=0):
+    """run_trial on arrays returns the scalar reference's tuple exactly,
+    or raises its DegenerateRateError with the same receivers."""
+    table = default_table()
+    try:
+        want = run_trial_scalar(receivers(snrs, weights), strategy, table, seed=seed)
+    except DegenerateRateError as exc:
+        with pytest.raises(DegenerateRateError) as err:
+            run_trial(snrs, weights, strategy, table, seed=seed)
+        assert err.value.receivers == exc.receivers
+        return None
+    got = run_trial(np.array(snrs), np.array(weights), strategy, table, seed=seed)
+    assert got == want
+    return got
+
 
 class TestRunTrial:
     def test_two_receiver_pair_reproduces_pair_gain(self, table, cache):
-        pop = [Receiver(7.0), Receiver(10.0)]
-        classical, hier, gain, excluded = run_trial(pop, "A", cache)
+        classical, hier, gain, excluded = run_trial([7.0, 10.0], [1, 1], "A", cache)
         assert excluded == ()
         assert classical == pytest.approx(1.2)
         assert gain == pytest.approx(pair_gain(7.0, 10.0, table), abs=1e-12)
 
     def test_homogeneous_reduces_to_pair_gain(self, table, cache):
         s = 9.0
-        pop = [Receiver(s)] * 6
-        _, _, gain, _ = run_trial(pop, "D", cache)
+        _, _, gain, _ = run_trial([s] * 6, [1] * 6, "D", cache)
         assert gain == pytest.approx(pair_gain(s, s, table), abs=1e-12)
 
     def test_four_receiver_strategies(self, cache):
-        pop = [Receiver(4.0), Receiver(4.0), Receiver(12.0), Receiver(12.0)]
-        _, _, gain_a, _ = run_trial(pop, "A", cache)
-        _, _, gain_d, _ = run_trial(pop, "D", cache)
+        snrs, weights = [4.0, 4.0, 12.0, 12.0], [1] * 4
+        _, _, gain_a, _ = run_trial(snrs, weights, "A", cache)
+        _, _, gain_d, _ = run_trial(snrs, weights, "D", cache)
         assert gain_a == pytest.approx(0.20, abs=0.05)
         assert gain_d == pytest.approx(0.0, abs=0.05)
 
     def test_undecodable_receivers_excluded(self, cache):
-        pop = [Receiver(-8.0), Receiver(7.0), Receiver(10.0), Receiver(12.0)]
-        classical, hier, gain, excluded = run_trial(pop, "A", cache)
+        classical, hier, gain, excluded = run_trial([-8.0, 7.0, 10.0, 12.0], [1] * 4, "A", cache)
         assert excluded == (0,)
         assert gain >= 0.0
 
     def test_odd_after_exclusion_keeps_all_served(self, cache):
         # exclusion leaves 3 receivers: one is served solo, none dropped
-        pop = [Receiver(-8.0), Receiver(6.0), Receiver(9.0), Receiver(12.0)]
-        classical, hier, gain, excluded = run_trial(pop, "A", cache)
+        classical, hier, gain, excluded = run_trial([-8.0, 6.0, 9.0, 12.0], [1] * 4, "A", cache)
         assert excluded == (0,)
         assert hier >= classical
+        assert_trial_matches_scalar([-8.0, 6.0, 9.0, 12.0], [1, 2, 1, 3], "A")
 
     def test_all_undecodable(self, cache):
-        pop = [Receiver(-8.0), Receiver(-9.0)]
         with pytest.raises(DegenerateRateError) as err:
-            run_trial(pop, "A", cache)
+            run_trial([-8.0, -9.0], [1, 1], "A", cache)
         assert err.value.receivers == (0, 1)
+        assert_trial_matches_scalar([-8.0, -9.0, -1e3], [1, 2, 1], "B")
 
     def test_nan_receiver_rejected(self):
         with pytest.raises(ParameterError):
             [Receiver(s) for s in (float("nan"), 20.0, 8.0, 9.0)]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_snr_rejected_before_lookup(self, table, bad):
+        fresh = PairRateCache(table)
+        with pytest.raises(ParameterError, match="finite"):
+            run_trial([bad, 20.0, 8.0, 9.0], [1] * 4, "A", fresh)
+        # nothing was filed into a bucket on the way
+        assert fresh.best_single_rate(20.0) == 3.6
+        assert run_trial([20.0, 8.0], [1, 1], "A", fresh)[2] >= 0.0
+
+    @pytest.mark.parametrize("weights", [[1, 0], [1, -2], [1.0, 1.0], [1, 1.5], [True, True], [1]])
+    def test_bad_weights_rejected(self, cache, weights):
+        with pytest.raises(ParameterError):
+            run_trial([7.0, 10.0], weights, "A", cache)
+
     def test_unknown_strategy(self, cache):
         with pytest.raises(ParameterError):
-            run_trial([Receiver(7.0), Receiver(10.0)], "E", cache)
+            run_trial([7.0, 10.0], [1, 1], "E", cache)
 
     def test_gain_nonnegative_random(self, cache):
         rng = np.random.default_rng(29)
         for _ in range(30):
-            pop = [Receiver(float(s)) for s in rng.uniform(3.0, 15.0, 20)]
+            snrs = rng.uniform(3.0, 15.0, 20)
             for strat in "ABCD":
-                _, _, gain, _ = run_trial(pop, strat, cache, seed=1)
+                _, _, gain, _ = run_trial(snrs, np.ones(20, dtype=int), strat, cache, seed=1)
                 assert gain >= 0.0
+
+    def test_extreme_snrs_and_weights_match_scalar(self):
+        assert_trial_matches_scalar([1e3, -1e3, 7.0, 1e3, 12.0], [1, 1, 2, 3, 1], "A")
+        for strategy in "ABCD":
+            assert_trial_matches_scalar([-1e3, 1e3, 1e3, 5.0], [2, 2, 1, 1], strategy, seed=3)
+
+    def test_population_trials_match_scalar(self):
+        # 500 receivers: enough pairs that a pairwise sum would differ
+        weather = default_weather_cdf()
+        for snr_max, share, weight in ((7.0, 0.0, 1), (13.0, 0.3, 2), (18.0, 0.5, 3)):
+            population = generate_population(
+                500, BeamConfig(snr_max_db=snr_max), weather,
+                professional_share=share, professional_weight=weight, seed=11,
+            )
+            snrs = [r.snr_db for r in population]
+            weights = [r.weight for r in population]
+            for strategy in "ABCD":
+                assert_trial_matches_scalar(snrs, weights, strategy, seed=5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        snrs=st.lists(
+            st.one_of(st.floats(-4.0, 22.0), st.sampled_from([-1e3, 1e3, -2.35, 9.97])),
+            min_size=1, max_size=30,
+        ),
+        data=st.data(),
+        strategy=st.sampled_from("ABCD"),
+        seed=st.integers(0, 3),
+    )
+    def test_matches_scalar_trial(self, snrs, data, strategy, seed):
+        weights = data.draw(st.lists(st.integers(1, 3), min_size=len(snrs), max_size=len(snrs)))
+        assert_trial_matches_scalar(snrs, weights, strategy, seed)
 
 
 def small_config(**overrides):
