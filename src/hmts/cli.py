@@ -176,10 +176,9 @@ def cmd_rates_pair(args) -> int:
     if snr1 is None or snr2 is None:
         raise ParameterError("rates pair requires --snr1 and --snr2")
     points = rates.operating_points(snr1, snr2, table)
-    r1 = capacity.best_single_rate(table, min(snr1, snr2))
-    r2 = capacity.best_single_rate(table, max(snr1, snr2))
-    r_ts = rates.ts_rate_two(r1, r2).per_receiver_rate
+    r_ts = rates.ts_rate_two(points[0].r1, points[1].r2).per_receiver_rate
     r_hm = rates.equal_rate_point(points)
+    gain = rates.hierarchical_gain(r_hm, r_ts)
     hull = rates.augmented_hull([(p.r1, p.r2) for p in points])
     path = _out_path(args, f"rates_pair_{snr1:g}_{snr2:g}.csv")
     with atomic_writer(path) as fh:
@@ -191,7 +190,7 @@ def cmd_rates_pair(args) -> int:
             writer.writerow(["hull", f"{x:.10g}", f"{y:.10g}", ""])
         writer.writerow(["r_ts", f"{r_ts:.10g}", f"{r_ts:.10g}", ""])
         writer.writerow(["r_hm", f"{r_hm:.10g}", f"{r_hm:.10g}", ""])
-        writer.writerow(["gain", f"{r_hm / r_ts - 1.0:.10g}", "", ""])
+        writer.writerow(["gain", f"{gain:.10g}", "", ""])
     print(path)
     return 0
 
@@ -212,7 +211,7 @@ def cmd_rates_grid(args) -> int:
             gains = np.zeros(len(cols))
             r2 = single[cols[served]]
             r_ts = r1 * r2 / (r1 + r2)  # rates.ts_rate_two's per-receiver rate
-            gains[served] = cache.pair_rate(s1, grid[cols[served]]) / r_ts - 1.0
+            gains[served] = rates.hierarchical_gain(cache.pair_rate(s1, grid[cols[served]]), r_ts)
             writer.writerows(
                 (label, labels[c], f"{g:.10g}" if ok else "")
                 for c, g, ok in zip(cols.tolist(), gains.tolist(), served.tolist())

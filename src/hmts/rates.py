@@ -10,10 +10,11 @@ point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .capacity import ModCod, ThresholdTable, best_entry, best_single_rate
+import numpy as np
+
+from .capacity import ModCod, ThresholdTable, best_entry
 from .errors import DegenerateRateError, InvariantError, ParameterError
 
 __all__ = [
@@ -108,11 +109,12 @@ def ts_rate_n(rates, weights=None) -> Allocation:
 def operating_points(snr1: float, snr2: float, table: ThresholdTable) -> list[RatePair]:
     """Two-receiver operating points for the given SNRs (dB).
 
-    Always contains the two classical single-receiver points; each
-    hierarchical modulation in the table contributes the pair (best HE
-    rate decodable at the lower SNR, best LE rate decodable at the higher
-    SNR) when both streams are decodable.  The better receiver takes the
-    LE stream, decoding the HE stream first.
+    The first two are the classical points (best single rate at the lower
+    SNR, 0) and (0, best single rate at the higher SNR), 0 where nothing
+    decodes; each hierarchical modulation in the table contributes the
+    pair (best HE rate decodable at the lower SNR, best LE rate decodable
+    at the higher SNR) when both streams are decodable.  The better
+    receiver takes the LE stream, decoding the HE stream first.
     """
     s1, s2 = sorted((snr1, snr2))
     lo = best_entry(table.singles(), s1)
@@ -188,14 +190,9 @@ def _segment_best_min(p, q) -> float:
 
 def max_min_weighted(points, w1: float = 1.0, w2: float = 1.0) -> float:
     """max over the hull of time-sharing mixtures of min(x/w1, y/w2)."""
-    xy = [(p.r1 / w1, p.r2 / w2) for p in points]
-    hull = augmented_hull(xy)
-    if len(hull) == 1:
-        return min(hull[0])
-    best = -math.inf
-    for p, q in zip(hull, hull[1:] + hull[:1]):
-        best = max(best, _segment_best_min(p, q))
-    return best
+    hull = augmented_hull([(p.r1 / w1, p.r2 / w2) for p in points])
+    # never empty (the origin); a one-point hull pairs the point with itself
+    return max(_segment_best_min(p, q) for p, q in zip(hull, hull[1:] + hull[:1]))
 
 
 def equal_rate_point(points) -> float:
@@ -214,27 +211,28 @@ def equal_rate_point(points) -> float:
 def pair_gain(snr1: float, snr2: float, table: ThresholdTable) -> float:
     """Relative rate gain of hierarchical-modulation time sharing over
     classical time sharing for one receiver pair."""
-    s1, s2 = sorted((snr1, snr2))
-    r1 = best_single_rate(table, s1)
-    r2 = best_single_rate(table, s2)
+    points = operating_points(snr1, snr2, table)
+    r1, r2 = points[0].r1, points[1].r2
     if r1 <= 0 or r2 <= 0:
+        s1, s2 = sorted((snr1, snr2))
         raise DegenerateRateError(
             f"receiver cannot decode any modcod at ({s1}, {s2}) dB"
         )
     r_ts = ts_rate_two(r1, r2).per_receiver_rate
-    r_hm = equal_rate_point(operating_points(s1, s2, table))
-    return hierarchical_gain(r_hm, r_ts)
+    return hierarchical_gain(equal_rate_point(points), r_ts)
 
 
-def hierarchical_gain(hier: float, classical: float) -> float:
-    """Relative gain ``hier / classical - 1``, clamped at 0.
+def hierarchical_gain(hier, classical):
+    """Relative gain ``hier / classical - 1``, clamped at 0: a float for
+    floats, element by element for arrays (empty ones too).
 
     The hull contains the classical points, so a loss beyond rounding
     (below -1e-9) is a bug and raises InvariantError.
     """
-    gain = hier / classical - 1.0
-    if gain < -1e-9:
+    gain = np.asarray(hier, dtype=float) / classical - 1.0
+    if (gain < -1e-9).any():
         raise InvariantError(
-            f"hierarchical rate fell below the classical rate; gain={gain:.3e}"
+            f"hierarchical rate fell below the classical rate; gain={np.nanmin(gain):.3e}"
         )
-    return max(gain, 0.0)
+    gain = np.maximum(gain, 0.0)
+    return gain if gain.ndim else float(gain)

@@ -6,7 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from hmts.capacity import default_table
 from hmts.cli import main
+from hmts.errors import DegenerateRateError
+from hmts.rates import pair_gain
 
 
 def run_cli(args, capsys):
@@ -134,6 +137,58 @@ class TestRatesCommand:
         rows = list(csv.DictReader(open(tmp_path / "rates_gain_grid.csv")))
         gains = [float(r["gain"]) for r in rows if r["gain"] != ""]
         assert gains and all(g >= 0.0 for g in gains)
+
+    def test_default_grid_has_no_negative_gain(self, tmp_path, capsys):
+        code, _, _ = run_cli(["--out-dir", str(tmp_path), "rates", "grid"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(open(tmp_path / "rates_gain_grid.csv")))
+        gains = {(r["snr1_db"], r["snr2_db"]): r["gain"] for r in rows}
+        # 9 and 10 dB share their best single rate and their pair rate,
+        # and r_hm / r_ts - 1 rounds to -1.1e-16 there
+        assert gains["9", "10"] == "0"
+        assert all(float(g) >= 0.0 for g in gains.values() if g != "")
+
+    def test_pair_9_10_gain_is_zero(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["--out-dir", str(tmp_path), "rates", "pair", "--snr1", "9", "--snr2", "10"],
+            capsys,
+        )
+        assert code == 0
+        lines = (tmp_path / "rates_pair_9_10.csv").read_text().splitlines()
+        assert lines[-1] == "gain,0,,"
+
+    def test_pair_and_grid_print_pair_gain(self, tmp_path, capsys):
+        # the gain `rates pair` prints is rates.pair_gain's, and the grid
+        # prints the same for the pairs on it; -5 dB decodes nothing
+        table = default_table()
+        rng = np.random.default_rng(9)
+        pairs = [(9.0, 10.0), (7.0, 10.0), (10.0, 7.0), (6.5, 6.5), (12.0, 12.0),
+                 (-5.0, 10.0), *(rng.integers(-10, 29, size=(10, 2)) / 2).tolist()]
+        code, _, _ = run_cli(
+            ["--out-dir", str(tmp_path), "rates", "grid",
+             "--min", "-5", "--max", "14", "--step", "0.5"],
+            capsys,
+        )
+        assert code == 0
+        grid = {(r["snr1_db"], r["snr2_db"]): r["gain"]
+                for r in csv.DictReader(open(tmp_path / "rates_gain_grid.csv"))}
+        for s1, s2 in pairs:
+            code, _, err = run_cli(
+                ["--out-dir", str(tmp_path), "rates", "pair",
+                 "--snr1", str(s1), "--snr2", str(s2)],
+                capsys,
+            )
+            on_grid = grid[f"{min(s1, s2):g}", f"{max(s1, s2):g}"]
+            try:
+                expected = f"{pair_gain(s1, s2, table):.10g}"
+            except DegenerateRateError:
+                assert code == 3 and "error:" in err
+                assert on_grid == ""
+                continue
+            assert code == 0
+            path = tmp_path / f"rates_pair_{s1:g}_{s2:g}.csv"
+            assert path.read_text().splitlines()[-1] == f"gain,{expected},,"
+            assert on_grid == expected
 
     def test_missing_snrs(self, tmp_path, capsys):
         code, _, err = run_cli(["--out-dir", str(tmp_path), "rates", "pair"], capsys)
@@ -329,6 +384,27 @@ class TestSimulateCommand:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("professional_weight", 2.0),
+        ("professional_weight", True),
+        ("n_receivers", 20.0),
+        ("n_receivers", "20"),
+        ("n_trials", 1.5),
+        ("n_trials", False),
+    ])
+    def test_non_integer_counts_exit_2(self, key, value, tmp_path, capsys):
+        scenario = {"n_receivers": 20, "n_trials": 1, "snr_max_grid": [10.0],
+                    "strategies": ["A"], "professional_share_grid": [0.5],
+                    "professional_weight": 2, key: value}
+        cfg = write_tiny_config(tmp_path / "cfg.json", mode="heterogeneous", scenario=scenario)
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            ["--out-dir", str(out), "--config", str(cfg), "simulate"], capsys
+        )
+        assert code == 2
+        assert err.count("error:") == 1 and key in err
+        assert not out.exists()
 
     def test_population_dump(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json")

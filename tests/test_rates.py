@@ -241,6 +241,42 @@ class TestPairGain:
         with pytest.raises(InvariantError, match="below the classical rate"):
             hierarchical_gain(0.9, 1.0)
 
+    def test_hierarchical_gain_float_in_float_out(self):
+        for hier, classical in [(1.0 - 1e-12, 1.0), (1.0, 1.0), (1.3, 1.2), (2.0, 1.125)]:
+            gain = hierarchical_gain(hier, classical)
+            assert type(gain) is float
+            assert gain == max(hier / classical - 1.0, 0.0)
+
+    def test_hierarchical_gain_clamps_each_element(self):
+        hier = np.array([1.0 - 1e-12, 1.0, 1.3, 2.0, 1.2])
+        classical = np.array([1.0, 1.0, 1.2, 1.125, 1.2 + 1e-13])
+        gain = hierarchical_gain(hier, classical)
+        assert isinstance(gain, np.ndarray) and gain.shape == (5,)
+        pairs = zip(hier.tolist(), classical.tolist())
+        assert gain.tolist() == [hierarchical_gain(h, c) for h, c in pairs]
+        assert gain[0] == gain[1] == gain[4] == 0.0 and (gain >= 0.0).all()
+        by_scalar = hierarchical_gain(hier, 1.0)
+        assert by_scalar.tolist() == [hierarchical_gain(h, 1.0) for h in hier.tolist()]
+
+    def test_hierarchical_gain_invariant_on_any_element(self):
+        with pytest.raises(InvariantError, match="below the classical rate"):
+            hierarchical_gain(np.array([1.0, 1.5, 0.9, 1.2]), np.array([1.0, 1.0, 1.0, 1.0]))
+        # a loss within rounding is clamped, not raised
+        assert hierarchical_gain(np.array([1.0 - 1e-10]), 1.0).tolist() == [0.0]
+
+    def test_hierarchical_gain_empty(self):
+        gain = hierarchical_gain(np.array([]), np.array([]))
+        assert isinstance(gain, np.ndarray) and gain.shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.1, 6.0), st.floats(0.0, 0.5)), max_size=20))
+    def test_hierarchical_gain_array_equals_scalar(self, rows):
+        # pair rates at or above the classical rate, up to rounding
+        classical = [c for c, _ in rows]
+        hier = [c * (1.0 + g) for c, g in rows]
+        gain = hierarchical_gain(np.array(hier), np.array(classical))
+        assert gain.tolist() == [hierarchical_gain(h, c) for h, c in zip(hier, classical)]
+
     def test_nonnegative_on_grid(self, table):
         for s1 in np.arange(4.0, 12.1, 1.0):
             for s2 in np.arange(s1, 12.1, 1.0):
