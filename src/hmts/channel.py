@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import ParameterError
 __all__ = [
     "BeamConfig",
     "WeatherCdf",
-    "Receiver",
+    "Population",
     "bessel_j1",
     "J1_FIRST_ZERO",
     "pattern_attenuation",
@@ -43,6 +44,7 @@ PROFESSIONAL_OFFSET_DB = 5.0
 
 _WEATHER_HEADER = ("attenuation_db", "cumulative_probability")
 _POPULATION_HEADER = ("snr_db", "class", "weight")
+_CLASSES = ("personal", "professional")  # indexed by the professional flag
 
 J1_FIRST_ZERO = 3.8317059702075125
 
@@ -259,21 +261,14 @@ def sample_weather(cdf: WeatherCdf, rng, size=None):
     return np.interp(u, probs, attens)
 
 
-@dataclass(frozen=True)
-class Receiver:
-    """One terminal: SNR, class, and the number of receivers it serves."""
+class Population(NamedTuple):
+    """A terminal population as arrays, one entry per terminal: SNR
+    (dB), the number of receivers it serves, and its class.
+    ``generate_population`` puts the professional terminals first."""
 
-    snr_db: float
-    terminal_class: str = "personal"
-    weight: int = 1
-
-    def __post_init__(self):
-        if not math.isfinite(self.snr_db):
-            raise ParameterError(f"snr_db must be finite, got {self.snr_db}")
-        if self.terminal_class not in ("personal", "professional"):
-            raise ParameterError(f"unknown terminal class {self.terminal_class!r}")
-        if self.weight < 1:
-            raise ParameterError("weight must be >= 1")
+    snr_db: np.ndarray  # float64
+    weight: np.ndarray  # int, >= 1
+    professional: np.ndarray  # bool; False is a personal terminal
 
 
 def generate_population(
@@ -283,7 +278,7 @@ def generate_population(
     professional_share: float = 0.0,
     professional_weight: int = 1,
     seed=0,
-) -> list[Receiver]:
+) -> Population:
     """Draw a terminal population serving ``n`` receivers.
 
     Roughly ``professional_share * n`` receivers sit behind professional
@@ -311,37 +306,37 @@ def generate_population(
     rng = np.random.default_rng(seed)
     loc = attenuation_at_disk_fraction(np.sqrt(rng.random(total)), cfg)
     weather = sample_weather(cdf, rng, total)
-    base = cfg.snr_max_db - loc - weather
-    receivers = []
-    for k in range(total):
-        if k < prof_terms:
-            receivers.append(
-                Receiver(
-                    snr_db=float(base[k]) + PROFESSIONAL_OFFSET_DB,
-                    terminal_class="professional",
-                    weight=professional_weight,
-                )
-            )
-        else:
-            receivers.append(Receiver(snr_db=float(base[k])))
-    return receivers
+    snr = cfg.snr_max_db - loc - weather
+    professional = np.arange(total) < prof_terms
+    snr[professional] += PROFESSIONAL_OFFSET_DB
+    return Population(snr, np.where(professional, professional_weight, 1), professional)
 
 
-def write_population(receivers, path: str | os.PathLike) -> None:
+def write_population(population: Population, path: str | os.PathLike) -> None:
     with atomic_writer(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(_POPULATION_HEADER)
-        for r in receivers:
-            writer.writerow([f"{r.snr_db:.10g}", r.terminal_class, r.weight])
+        rows = zip(*(a.tolist() for a in population))
+        writer.writerows((f"{s:.10g}", _CLASSES[p], w) for s, w, p in rows)
 
 
-def read_population(path: str | os.PathLike) -> list[Receiver]:
-    receivers = []
+def read_population(path: str | os.PathLike) -> Population:
+    """Read a population CSV, checking every row's SNR, class and weight."""
+    snrs, weights, professional = [], [], []
     for lineno, row in read_rows(path, _POPULATION_HEADER, ParameterError):
         try:
-            receivers.append(Receiver(float(row[0]), row[1].strip(), int(row[2])))
+            snr, kind, weight = float(row[0]), row[1].strip(), int(row[2])
         except (ValueError, IndexError):
             raise ParameterError(f"{path}: line {lineno}: bad receiver row {row!r}") from None
-    if not receivers:
+        if not math.isfinite(snr):
+            raise ParameterError(f"{path}: line {lineno}: snr_db must be finite, got {snr}")
+        if kind not in _CLASSES:
+            raise ParameterError(f"{path}: line {lineno}: unknown terminal class {kind!r}")
+        if weight < 1:
+            raise ParameterError(f"{path}: line {lineno}: weight must be >= 1, got {weight}")
+        snrs.append(snr)
+        weights.append(weight)
+        professional.append(kind == "professional")
+    if not snrs:
         raise ParameterError(f"{path}: no receivers found")
-    return receivers
+    return Population(np.array(snrs), np.array(weights), np.array(professional))

@@ -222,8 +222,7 @@ def cmd_rates_grid(args) -> int:
 
 def _parse_snrs(value: str) -> list[float]:
     if os.path.exists(value):
-        receivers = channel.read_population(value)
-        return [r.snr_db for r in receivers]
+        return channel.read_population(value).snr_db.tolist()
     try:
         return [float(v) for v in value.split(",") if v.strip()]
     except ValueError:

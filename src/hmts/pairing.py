@@ -3,7 +3,8 @@
 The matching objective is the average per-pair SNR difference Delta.
 Pairing the extremes first (strategy A) attains the maximum Delta over
 all perfect matchings; the closed-form bound from the sorted histogram
-equals that maximum.
+equals that maximum.  The strategies order receivers by (SNR, index),
+which is what a stable argsort gives.
 """
 
 from __future__ import annotations
@@ -39,37 +40,36 @@ class PairingPlan:
 
     @classmethod
     def from_pairs(cls, snrs, pairs) -> "PairingPlan":
-        diffs = [abs(snrs[i] - snrs[j]) for i, j in pairs]
+        """Plan of ``pairs``, index pairs into ``snrs`` (sequences or
+        arrays); the pairs come out sorted, each as (smaller, larger)."""
+        snrs = np.asarray(snrs, dtype=float)
+        pairs = np.sort(np.asarray(pairs, dtype=np.intp).reshape(-1, 2), axis=1)
+        diffs = np.abs(snrs[pairs[:, 0]] - snrs[pairs[:, 1]])
         n = len(diffs)
-        avg = sum(diffs) / n
-        var = sum((d - avg) ** 2 for d in diffs) / n
-        return cls(
-            pairs=tuple(sorted(tuple(sorted(p)) for p in pairs)),
-            delta_avg=avg,
-            delta_variance=var,
-        )
+        # np.cumsum adds left to right, as the builtin sum on Python 3.11;
+        # np.float_power squares with libm's pow, as ``**`` (not dev * dev)
+        avg = float(np.cumsum(diffs)[-1] / n)
+        var = float(np.cumsum(np.float_power(diffs - avg, 2))[-1] / n)
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        return cls(pairs=tuple(map(tuple, pairs.tolist())), delta_avg=avg, delta_variance=var)
 
 
-def _check_even(snrs) -> list[float]:
-    snrs = [float(s) for s in snrs]
+def _check_even(snrs) -> np.ndarray:
+    snrs = np.asarray(snrs, dtype=float)
     if len(snrs) < 2 or len(snrs) % 2:
         raise ParameterError(f"pairing requires an even receiver count >= 2, got {len(snrs)}")
-    bad = [i for i, s in enumerate(snrs) if not math.isfinite(s)]
+    bad = np.flatnonzero(~np.isfinite(snrs)).tolist()
     if bad:
         raise ParameterError(f"pairing requires finite SNRs; receivers {bad} are not")
     # every pair difference is at most the spread, and the sums behind the
     # plan's mean and variance at most n/2 times the spread and its square
-    spread = max(snrs) - min(snrs)
+    spread = float(snrs.max()) - float(snrs.min())
     if not math.isfinite(spread * spread * (len(snrs) // 2)):
         raise ParameterError(
             f"pairing requires SNR differences whose mean and variance are "
             f"finite; the SNRs span {spread:g} dB"
         )
     return snrs
-
-
-def _sorted_order(snrs) -> list[int]:
-    return sorted(range(len(snrs)), key=lambda i: (snrs[i], i))
 
 
 def strategy_a(snrs) -> PairingPlan:
@@ -79,9 +79,9 @@ def strategy_a(snrs) -> PairingPlan:
     the maximum average SNR difference over all perfect matchings.
     """
     snrs = _check_even(snrs)
-    order = _sorted_order(snrs)
-    n = len(order)
-    pairs = [(order[k], order[n - 1 - k]) for k in range(n // 2)]
+    order = np.argsort(snrs, kind="stable")
+    half = len(order) // 2
+    pairs = np.column_stack((order[:half], order[::-1][:half]))
     return PairingPlan.from_pairs(snrs, pairs)
 
 
@@ -100,8 +100,8 @@ def strategy_b(snrs) -> PairingPlan:
     """
     snrs = _check_even(snrs)
     target = strategy_a(snrs).delta_avg
-    order = _sorted_order(snrs)
-    v = [snrs[i] for i in order]
+    order = np.argsort(snrs, kind="stable")
+    v = snrs[order].tolist()
     n = len(v)
 
     # path-compressed "next unused" pointers: up[k] leads to the smallest
@@ -180,28 +180,24 @@ def strategy_b(snrs) -> PairingPlan:
             for k in (a, b):
                 up[k] = k + 1
                 down[k + 1] = k
-            pairs.append((order[a], order[b]))
-    return PairingPlan.from_pairs(snrs, pairs)
+            pairs.append((a, b))
+    return PairingPlan.from_pairs(snrs, order[np.array(pairs)])
 
 
 def strategy_c(snrs, seed=0) -> PairingPlan:
     """Uniformly random perfect matching, reproducible per seed."""
     snrs = _check_even(snrs)
     rng = np.random.default_rng(seed)
-    order = _sorted_order(snrs)
+    order = np.argsort(snrs, kind="stable")
     perm = rng.permutation(len(order))
-    shuffled = [order[k] for k in perm]
-    pairs = [(shuffled[2 * k], shuffled[2 * k + 1]) for k in range(len(order) // 2)]
-    return PairingPlan.from_pairs(snrs, pairs)
+    return PairingPlan.from_pairs(snrs, order[perm].reshape(-1, 2))
 
 
 def strategy_d(snrs) -> PairingPlan:
     """Pair the receivers with the closest SNRs (sorted-adjacent); attains
     the minimum average SNR difference."""
     snrs = _check_even(snrs)
-    order = _sorted_order(snrs)
-    pairs = [(order[2 * k], order[2 * k + 1]) for k in range(len(order) // 2)]
-    return PairingPlan.from_pairs(snrs, pairs)
+    return PairingPlan.from_pairs(snrs, np.argsort(snrs, kind="stable").reshape(-1, 2))
 
 
 STRATEGIES = {

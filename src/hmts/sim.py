@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import atomic_writer
-from .capacity import ThresholdTable, best_entry, default_table
+from .capacity import ThresholdTable, _parse_hier_rho, best_entry, default_table
 from .channel import BeamConfig, WeatherCdf, default_weather_cdf, generate_population, write_population
 from .errors import DegenerateRateError, ParameterError
 from .pairing import STRATEGIES, run_strategy
@@ -63,8 +62,17 @@ class ScenarioConfig:
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ParameterError(f"unknown strategies {unknown}; expected subset of A-D")
-        if any(not 0.0 <= s <= 1.0 for s in self.professional_share_grid):
-            raise ParameterError("professional shares must lie in [0, 1]")
+        # |snr_max| <= 4000 dB keeps _trial_seed's word for it in [0, 2**32)
+        bounds = dict(snr_max_grid=(-4000, 4000), professional_share_grid=(0, 1), rho_set=(0, 1))
+        for name, (low, high) in bounds.items():
+            values = getattr(self, name)
+            # no bool or str; the range rejects NaN, inf and huge ints
+            if not isinstance(values, (tuple, list)) or not values or not all(
+                isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+                and low <= v <= high for v in values
+            ):
+                raise ParameterError(f"{name} must be a nonempty list of numbers in "
+                                     f"[{low}, {high}], got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -347,9 +355,8 @@ def run_trial(snr_db, weight, strategy: str, table, seed=0):
         pool = np.delete(pool, len(pool) // 2)
         inv.append([weight[solo] / rates[solo]])
     if pool.size:
-        plan = run_strategy(strategy, snr[pool].tolist(), seed)
-        pairs = np.fromiter(itertools.chain.from_iterable(plan.pairs), np.intp)
-        i, j = pool[pairs.reshape(-1, 2).T]
+        plan = run_strategy(strategy, snr[pool], seed)
+        i, j = pool[np.array(plan.pairs).T]
         inv.append(1.0 / cache.pair_rate(snr[i], snr[j], weight[i], weight[j]))
     hier = 1.0 / np.cumsum(np.concatenate(inv))[-1]
     classical, hier = float(classical), float(hier)
@@ -378,8 +385,12 @@ def run_scenario(
         raise ParameterError(f"unknown mode {mode!r}")
     if table is None:
         table = default_table()
-    table = table.filter_rho(cfg.rho_set)
-    cache = PairRateCache(table)
+    kept = table.filter_rho(cfg.rho_set)
+    if not kept.hierarchical_modulations():
+        rhos = [_parse_hier_rho(m) for m in table.hierarchical_modulations()]
+        raise ParameterError(
+            f"rho_set {list(cfg.rho_set)} matches none of the table's rho values {rhos}")
+    cache = PairRateCache(kept)
     if weather is None:
         weather = default_weather_cdf()
     shares = (0.0,) if mode == "homogeneous" else tuple(cfg.professional_share_grid)
@@ -402,12 +413,9 @@ def run_scenario(
                 if population_dir is not None:
                     name = f"population_snr{snr_max:g}_share{share:g}_trial{trial}.csv"
                     write_population(population, os.path.join(population_dir, name))
-                snrs = np.array([r.snr_db for r in population])
-                weights = np.array([r.weight for r in population])
-                del population  # two populations are never alive at once
                 for strategy in cfg.strategies:
                     classical, hier, gain, excluded = run_trial(
-                        snrs, weights, strategy, cache, seed=strat_seed
+                        population.snr_db, population.weight, strategy, cache, seed=strat_seed
                     )
                     records.append(
                         GainRecord(

@@ -5,14 +5,15 @@ information uses Gauss-Hermite quadrature instead of Monte-Carlo, the
 equal-rate point enumerates segment-diagonal intersections instead of
 building a hull, matching optima come from a subset dynamic programme
 checked against enumeration, and the Bessel function is integrated
-numerically.  ``strategy_b_allpairs``, ``stream_mutual_information_dense``,
-``PairRateCacheScalar`` and ``run_trial_scalar`` are the exceptions: they
-are the previous implementations of strategy B (all pairs), of the
-Monte-Carlo stream MI (one masked log-sum-exp per sum over a
-sample-major tensor) and of the per-receiver trial with its memoised
-pair rates (``rates.operating_points`` and ``rates.max_min_weighted``
-per bucket pair), kept to pin the package's faster ones to the same
-plans and values.
+numerically.  ``run_strategy_list`` (with ``strategy_b_allpairs``),
+``stream_mutual_information_dense``, ``PairRateCacheScalar`` and
+``run_trial_scalar`` are the exceptions: they are the previous
+implementations of the pairing strategies (Python lists, strategy B by
+sorting all pairs), of the Monte-Carlo stream MI (one masked
+log-sum-exp per sum over a sample-major tensor) and of the per-receiver
+trial with its memoised pair rates (``rates.operating_points`` and
+``rates.max_min_weighted`` per bucket pair), kept to pin the package's
+faster ones to the same plans and values.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from hmts.capacity import (
 )
 from hmts.constellation import Constellation
 from hmts.errors import DegenerateRateError, ParameterError
-from hmts.pairing import STRATEGIES, PairingPlan, _check_even, _sorted_order, run_strategy, strategy_a
+from hmts.pairing import STRATEGIES, PairingPlan
 from hmts.rates import hierarchical_gain, max_min_weighted, operating_points
 
 
@@ -309,12 +310,57 @@ def bessel_j1_simpson(x, n=40001):
     return float(h / 3.0 * np.sum(weights * integrand) / math.pi)
 
 
+def check_even_list(snrs) -> list[float]:
+    """``hmts.pairing``'s input check, on Python lists."""
+    snrs = [float(s) for s in snrs]
+    if len(snrs) < 2 or len(snrs) % 2:
+        raise ParameterError(f"pairing requires an even receiver count >= 2, got {len(snrs)}")
+    bad = [i for i, s in enumerate(snrs) if not math.isfinite(s)]
+    if bad:
+        raise ParameterError(f"pairing requires finite SNRs; receivers {bad} are not")
+    # every pair difference is at most the spread, and the sums behind the
+    # plan's mean and variance at most n/2 times the spread and its square
+    spread = max(snrs) - min(snrs)
+    if not math.isfinite(spread * spread * (len(snrs) // 2)):
+        raise ParameterError(
+            f"pairing requires SNR differences whose mean and variance are "
+            f"finite; the SNRs span {spread:g} dB"
+        )
+    return snrs
+
+
+def sorted_order_list(snrs) -> list[int]:
+    """Receiver indices in (SNR, index) order."""
+    return sorted(range(len(snrs)), key=lambda i: (snrs[i], i))
+
+
+def plan_from_pairs_list(snrs, pairs) -> PairingPlan:
+    """``PairingPlan.from_pairs`` with builtin sums over Python lists."""
+    diffs = [abs(snrs[i] - snrs[j]) for i, j in pairs]
+    n = len(diffs)
+    avg = sum(diffs) / n
+    var = sum((d - avg) ** 2 for d in diffs) / n
+    return PairingPlan(
+        pairs=tuple(sorted(tuple(sorted(p)) for p in pairs)),
+        delta_avg=avg,
+        delta_variance=var,
+    )
+
+
+def strategy_a_list(snrs) -> PairingPlan:
+    snrs = check_even_list(snrs)
+    order = sorted_order_list(snrs)
+    n = len(order)
+    pairs = [(order[k], order[n - 1 - k]) for k in range(n // 2)]
+    return plan_from_pairs_list(snrs, pairs)
+
+
 def strategy_b_allpairs(snrs) -> PairingPlan:
     """Strategy B by sorting all n(n-1)/2 candidate pairs: the reference
     for ``hmts.pairing.strategy_b``, which must return the same plan."""
-    snrs = _check_even(snrs)
-    target = strategy_a(snrs).delta_avg
-    order = _sorted_order(snrs)
+    snrs = check_even_list(snrs)
+    target = strategy_a_list(snrs).delta_avg
+    order = sorted_order_list(snrs)
     values = np.array([snrs[i] for i in order])
     n = len(order)
     iu, ju = np.triu_indices(n, k=1)
@@ -330,7 +376,32 @@ def strategy_b_allpairs(snrs) -> PairingPlan:
         pairs.append((order[a], order[b]))
         if len(pairs) == n // 2:
             break
-    return PairingPlan.from_pairs(snrs, pairs)
+    return plan_from_pairs_list(snrs, pairs)
+
+
+def strategy_c_list(snrs, seed=0) -> PairingPlan:
+    snrs = check_even_list(snrs)
+    rng = np.random.default_rng(seed)
+    order = sorted_order_list(snrs)
+    perm = rng.permutation(len(order))
+    shuffled = [order[k] for k in perm]
+    pairs = [(shuffled[2 * k], shuffled[2 * k + 1]) for k in range(len(order) // 2)]
+    return plan_from_pairs_list(snrs, pairs)
+
+
+def strategy_d_list(snrs) -> PairingPlan:
+    snrs = check_even_list(snrs)
+    order = sorted_order_list(snrs)
+    pairs = [(order[2 * k], order[2 * k + 1]) for k in range(len(order) // 2)]
+    return plan_from_pairs_list(snrs, pairs)
+
+
+def run_strategy_list(strategy: str, snrs, seed=0) -> PairingPlan:
+    """Strategies A-D on Python lists, one receiver and one pair at a
+    time: the reference for ``hmts.pairing.run_strategy``."""
+    if strategy == "C":
+        return strategy_c_list(snrs, seed)
+    return {"A": strategy_a_list, "B": strategy_b_allpairs, "D": strategy_d_list}[strategy](snrs)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -427,15 +498,16 @@ class PairRateCacheScalar:
             return rate
 
 
-def run_trial_scalar(receivers, strategy: str, table, seed=0):
-    """One trial over a list of Receiver, one receiver at a time: the
-    reference for ``hmts.sim.run_trial``, with the same return value."""
+def run_trial_scalar(snr_db, weight, strategy: str, table, seed=0):
+    """One trial over lists of SNRs and weights, one receiver at a time:
+    the reference for ``hmts.sim.run_trial``, with the same return value."""
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}")
+    snr_db, weight = [float(s) for s in snr_db], list(weight)
     cache = table if isinstance(table, PairRateCacheScalar) else PairRateCacheScalar(table)
-    rates = [cache.best_single_rate(r.snr_db) for r in receivers]
+    rates = [cache.best_single_rate(s) for s in snr_db]
     excluded = tuple(i for i, rate in enumerate(rates) if rate <= 0)
-    active = [i for i in range(len(receivers)) if rates[i] > 0]
+    active = [i for i in range(len(snr_db)) if rates[i] > 0]
     if not active:
         raise DegenerateRateError(
             "no receiver can decode any modcod", receivers=excluded
@@ -443,24 +515,20 @@ def run_trial_scalar(receivers, strategy: str, table, seed=0):
 
     inv_classical = 0.0
     for i in active:
-        inv_classical += receivers[i].weight / rates[i]
+        inv_classical += weight[i] / rates[i]
     classical = 1.0 / inv_classical
 
-    pool = sorted(active, key=lambda i: (receivers[i].snr_db, i))
+    pool = sorted(active, key=lambda i: (snr_db[i], i))
     solo = None
     if len(pool) % 2:
         solo = pool.pop(len(pool) // 2)  # keep the middle receiver single
     inv_hier = 0.0
     if solo is not None:
-        inv_hier += receivers[solo].weight / rates[solo]
+        inv_hier += weight[solo] / rates[solo]
     if pool:
-        snrs = [receivers[i].snr_db for i in pool]
-        for a, b in run_strategy(strategy, snrs, seed).pairs:
+        snrs = [snr_db[i] for i in pool]
+        for a, b in run_strategy_list(strategy, snrs, seed).pairs:
             i, j = pool[a], pool[b]
-            r_pair = cache.pair_rate(
-                receivers[i].snr_db, receivers[j].snr_db,
-                receivers[i].weight, receivers[j].weight,
-            )
-            inv_hier += 1.0 / r_pair
+            inv_hier += 1.0 / cache.pair_rate(snr_db[i], snr_db[j], weight[i], weight[j])
     hier = 1.0 / inv_hier
     return classical, hier, hierarchical_gain(hier, classical), excluded

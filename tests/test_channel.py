@@ -8,7 +8,7 @@ import pytest
 from hmts.channel import (
     J1_FIRST_ZERO,
     BeamConfig,
-    Receiver,
+    Population,
     WeatherCdf,
     attenuation_at_disk_fraction,
     beam_edge_angle,
@@ -153,8 +153,24 @@ class TestWeatherCdf:
 class TestGeneratePopulation:
     def test_all_personal_below_snr_max(self, beam):
         pop = generate_population(200, beam, default_weather_cdf(), seed=1)
-        assert all(r.terminal_class == "personal" for r in pop)
-        assert all(r.snr_db <= beam.snr_max_db for r in pop)
+        assert not pop.professional.any()
+        assert (pop.weight == 1).all()
+        assert (pop.snr_db <= beam.snr_max_db).all()
+
+    def test_arrays(self, beam):
+        pop = generate_population(
+            60, beam, default_weather_cdf(), professional_share=0.5,
+            professional_weight=3, seed=4,
+        )
+        assert isinstance(pop, Population)
+        assert pop.snr_db.dtype == np.float64
+        assert pop.weight.dtype.kind == "i"
+        assert pop.professional.dtype == bool
+        assert pop.snr_db.shape == pop.weight.shape == pop.professional.shape == (40,)
+        # professional terminals come first
+        k = int(pop.professional.sum())
+        assert k == 10 and pop.professional[:k].all()
+        assert (pop.weight == np.where(pop.professional, 3, 1)).all()
 
     def test_snr_bounds(self, beam):
         cdf = default_weather_cdf()
@@ -163,12 +179,12 @@ class TestGeneratePopulation:
         )
         lo = beam.snr_max_db - 4.0 - cdf.max_attenuation_db
         hi = beam.snr_max_db + 5.0
-        assert all(lo <= r.snr_db <= hi for r in pop)
+        assert ((lo <= pop.snr_db) & (pop.snr_db <= hi)).all()
 
     def test_clear_sky_matches_location_cdf(self, beam):
         clear = WeatherCdf(points=((0.0, 1.0),))
         pop = generate_population(20000, beam, clear, seed=3)
-        att = np.sort([beam.snr_max_db - r.snr_db for r in pop])
+        att = np.sort(beam.snr_max_db - pop.snr_db)
         grid = np.linspace(0.01, 3.99, 80)
         ks = max(
             abs(float(np.mean(att <= a)) - location_attenuation_cdf(a, beam))
@@ -182,9 +198,8 @@ class TestGeneratePopulation:
         prof = generate_population(
             100, beam, cdf, professional_share=1.0, professional_weight=1, seed=7
         )
-        for a, b in zip(base, prof):
-            assert b.snr_db == pytest.approx(a.snr_db + 5.0, abs=1e-12)
-            assert b.terminal_class == "professional" and b.weight == 1
+        np.testing.assert_allclose(prof.snr_db, base.snr_db + 5.0, rtol=0, atol=1e-12)
+        assert prof.professional.all() and (prof.weight == 1).all()
 
     def test_even_terminal_count_with_weights(self, beam):
         cdf = default_weather_cdf()
@@ -192,10 +207,10 @@ class TestGeneratePopulation:
             pop = generate_population(
                 n, beam, cdf, professional_share=share, professional_weight=w, seed=11
             )
-            assert len(pop) % 2 == 0
-            served = sum(r.weight for r in pop)
+            assert len(pop.snr_db) % 2 == 0
+            served = int(pop.weight.sum())
             assert abs(served - n) <= w  # at most one dropped terminal
-            prof_served = sum(r.weight for r in pop if r.terminal_class == "professional")
+            prof_served = int(pop.weight[pop.professional].sum())
             assert abs(prof_served - share * n) <= w
 
     def test_validation(self, beam):
@@ -209,22 +224,49 @@ class TestGeneratePopulation:
 class TestPopulationIo:
     def test_round_trip(self, tmp_path, beam):
         pop = generate_population(
-            20, beam, default_weather_cdf(), professional_share=0.5,
-            professional_weight=1, seed=13,
+            40, beam, default_weather_cdf(), professional_share=0.5,
+            professional_weight=3, seed=13,
         )
         path = tmp_path / "population.csv"
         write_population(pop, path)
         again = read_population(path)
-        assert len(again) == len(pop)
-        for a, b in zip(pop, again):
-            assert b.snr_db == pytest.approx(a.snr_db, rel=1e-9)
-            assert (b.terminal_class, b.weight) == (a.terminal_class, a.weight)
+        # ten significant digits on disk
+        np.testing.assert_allclose(again.snr_db, pop.snr_db, rtol=1e-9)
+        assert again.snr_db.dtype == np.float64
+        for a, b in zip(pop[1:], again[1:]):
+            assert a.dtype == b.dtype and (a == b).all()
+        # what was read back is written back byte for byte
+        again_path = tmp_path / "again.csv"
+        write_population(again, again_path)
+        assert again_path.read_bytes() == path.read_bytes()
+        assert (read_population(again_path).snr_db == again.snr_db).all()
 
-    def test_receiver_validation(self):
-        with pytest.raises(ParameterError):
-            Receiver(5.0, "corporate", 1)
-        with pytest.raises(ParameterError):
-            Receiver(5.0, "personal", 0)
-        for bad in (float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ParameterError):
-                Receiver(bad)
+    def test_written_rows(self, tmp_path):
+        pop = Population(
+            np.array([1.0 / 3.0, -0.0, 12.5]), np.array([4, 1, 1]),
+            np.array([True, False, False]),
+        )
+        path = tmp_path / "population.csv"
+        write_population(pop, path)
+        assert path.read_text().splitlines() == [
+            "snr_db,class,weight",
+            "0.3333333333,professional,4",
+            "-0,personal,1",
+            "12.5,personal,1",
+        ]
+
+    def test_receiver_validation(self, tmp_path):
+        path = tmp_path / "population.csv"
+        for row, problem in [
+            ("5.0,corporate,1", "unknown terminal class 'corporate'"),
+            ("5.0,personal,0", "weight must be >= 1"),
+            ("5.0,personal,-1", "weight must be >= 1"),
+            ("5.0,personal,1.5", "bad receiver row"),
+            ("nan,personal,1", "snr_db must be finite"),
+            ("inf,personal,1", "snr_db must be finite"),
+            ("-inf,professional,1", "snr_db must be finite"),
+            ("5.0,personal", "bad receiver row"),
+        ]:
+            path.write_text(f"snr_db,class,weight\n7.0,personal,1\n{row}\n")
+            with pytest.raises(ParameterError, match=f"line 3: {problem}"):
+                read_population(path)

@@ -290,6 +290,22 @@ class TestPairingCommand:
         assert code == 2
         assert "line 3" in err
 
+    @pytest.mark.parametrize("row", [
+        "4.0,corporate,1", "4.0,personal,0", "4.0,personal,-1", "4.0,personal,1.5",
+        "inf,personal,1", "-inf,professional,1",
+    ])
+    def test_bad_population_row_exit_2(self, tmp_path, capsys, row):
+        pop_file = tmp_path / "pop.csv"
+        pop_file.write_text(f"snr_db,class,weight\n4.0,personal,1\n{row}\n")
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            ["--out-dir", str(out), "pairing", "--strategy", "A", "--snrs", str(pop_file)],
+            capsys,
+        )
+        assert code == 2
+        assert err.count("error:") == 1 and "line 3" in err
+        assert not out.exists()
+
 
 def write_tiny_config(path, **overrides):
     cfg = {
@@ -405,6 +421,48 @@ class TestSimulateCommand:
         assert code == 2
         assert err.count("error:") == 1 and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("snr_max_grid", ["10"]),
+        ("snr_max_grid", [float("nan")]),
+        ("snr_max_grid", [10.0, float("inf")]),
+        ("snr_max_grid", 10),
+        ("snr_max_grid", []),
+        ("snr_max_grid", [True]),
+        ("snr_max_grid", [5000.0]),
+        ("snr_max_grid", [-1e300]),
+        ("professional_share_grid", ["0.5"]),
+        ("professional_share_grid", []),
+        ("professional_share_grid", [None]),
+        ("rho_set", ["0.8"]),
+        ("rho_set", []),
+        ("rho_set", 0.8),
+    ])
+    def test_bad_sweeps_exit_2(self, key, value, tmp_path, capsys):
+        scenario = {"n_receivers": 20, "n_trials": 1, "snr_max_grid": [10.0],
+                    "strategies": ["A"], "professional_share_grid": [0.5], key: value}
+        cfg = write_tiny_config(tmp_path / "cfg.json", mode="heterogeneous", scenario=scenario)
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            ["--out-dir", str(out), "--config", str(cfg), "simulate"], capsys
+        )
+        assert code == 2
+        assert err.count("error:") == 1 and key in err
+        assert not out.exists()
+
+    def test_unmatched_rho_set_exit_2(self, tmp_path, capsys):
+        scenario = {"n_receivers": 20, "n_trials": 1, "snr_max_grid": [10.0],
+                    "strategies": ["A"], "rho_set": [0.5, 0.95]}
+        cfg = write_tiny_config(tmp_path / "cfg.json", scenario=scenario)
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            ["--out-dir", str(out), "--config", str(cfg), "simulate", "--dump-populations"],
+            capsys,
+        )
+        assert code == 2
+        assert err.count("error:") == 1
+        assert "[0.5, 0.95]" in err and "[0.75, 0.8, 0.85, 0.9]" in err
+        assert not (out / "report.csv").exists()
 
     def test_population_dump(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json")

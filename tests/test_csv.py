@@ -3,11 +3,12 @@
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hmts._csv import atomic_writer
 from hmts.capacity import ModCod, load_thresholds, save_thresholds
-from hmts.channel import WeatherCdf, read_population, write_population
+from hmts.channel import Population, WeatherCdf, read_population, write_population
 from hmts.constellation import Constellation, EnergySolution
 from hmts.errors import ParameterError, TableError
 from hmts.sim import GainRecord, GainReport
@@ -35,8 +36,7 @@ WRITERS = {
         SimpleNamespace(points=[(0.0, 0.5), (BAD, 1.0)]), path
     ),
     "write_population": lambda path: write_population(
-        [SimpleNamespace(snr_db=5.0, terminal_class="personal", weight=1),
-         SimpleNamespace(snr_db=BAD, terminal_class="personal", weight=1)],
+        Population(np.array([5.0, BAD], dtype=object), np.array([1, 1]), np.array([False, False])),
         path,
     ),
     "Constellation.to_csv": lambda path: Constellation.to_csv(
@@ -100,6 +100,6 @@ def test_population_round_trip_through_comments(tmp_path):
     path = tmp_path / "pop.csv"
     path.write_text("# generated\nsnr_db,class,weight\n\n# trial 0\n4.5,personal,1\n9,professional,3\n")
     pop = read_population(path)
-    assert [(r.snr_db, r.terminal_class, r.weight) for r in pop] == [
-        (4.5, "personal", 1), (9.0, "professional", 3)
-    ]
+    assert pop.snr_db.tolist() == [4.5, 9.0]
+    assert pop.weight.tolist() == [1, 3]
+    assert pop.professional.tolist() == [False, True]

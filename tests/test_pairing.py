@@ -20,7 +20,15 @@ from hmts.pairing import (
     strategy_d,
 )
 
-from oracles import all_matchings, brute_force_matching, matching_delta, strategy_b_allpairs
+from oracles import (
+    all_matchings,
+    brute_force_matching,
+    check_even_list,
+    matching_delta,
+    plan_from_pairs_list,
+    run_strategy_list,
+    strategy_b_allpairs,
+)
 
 
 def random_instances(rng, count, sizes=(4, 6, 8)):
@@ -156,6 +164,92 @@ class TestStrategyBMatchesAllPairs:
         assert plan.pairs == reference.pairs
         assert plan.delta_avg == reference.delta_avg
         assert plan.delta_variance == reference.delta_variance
+
+
+# tie-heavy 0.5 dB levels with both signed zeros
+TIED = st.sampled_from([0.5 * k for k in range(-3, 5)] + [-0.0])
+# wide-spread values, tiny and signed-zero specials
+WIDE = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(-1e150, 1e150, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, 0.2, 0.3, 1e6, -1e6]),
+)
+
+
+def assert_same_plan(got, want):
+    assert got.pairs == want.pairs
+    assert got.delta_avg == want.delta_avg
+    assert got.delta_variance == want.delta_variance
+
+
+class TestMatchesListOracle:
+    """The array strategies return the list-based ones' plans exactly."""
+
+    @given(
+        snrs=st.lists(st.one_of(TIED, WIDE), min_size=2, max_size=60),
+        duplicate=st.booleans(),
+        strategy=st.sampled_from("ABCD"),
+        seed=st.integers(0, 2**32 - 1),
+        as_array=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_strategies(self, snrs, duplicate, strategy, seed, as_array):
+        if duplicate:
+            snrs = snrs + snrs[: len(snrs) // 2]
+        snrs = _even(snrs)[:60]
+        want = run_strategy_list(strategy, snrs, seed)
+        got = run_strategy(strategy, np.array(snrs) if as_array else snrs, seed)
+        assert_same_plan(got, want)
+
+    @given(snrs=st.lists(TIED, min_size=2, max_size=60), seeds=st.lists(
+        st.integers(0, 2**32 - 1), min_size=3, max_size=3, unique=True,
+    ))
+    @settings(max_examples=50, deadline=None)
+    def test_strategy_c_seeds(self, snrs, seeds):
+        snrs = _even(snrs)
+        for seed in seeds:
+            assert_same_plan(strategy_c(snrs, seed), run_strategy_list("C", snrs, seed))
+
+    @given(snrs=st.lists(st.one_of(TIED, WIDE), min_size=2, max_size=60), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_from_pairs_on_lists(self, snrs, data):
+        snrs = _even(snrs)
+        perm = data.draw(st.permutations(range(len(snrs))))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(snrs), max_size=len(snrs)))
+        pairs = [
+            (perm[k + 1], perm[k]) if flips[k] else (perm[k], perm[k + 1])
+            for k in range(0, len(snrs), 2)
+        ]
+        want = plan_from_pairs_list(snrs, pairs)
+        assert_same_plan(PairingPlan.from_pairs(snrs, pairs), want)
+        assert_same_plan(PairingPlan.from_pairs(np.array(snrs), np.array(pairs)), want)
+        assert all(type(i) is int for pair in want.pairs for i in pair)
+
+    def test_variance_squares_as_the_builtin_power(self):
+        # the deviations +-1.625 carry rounding error whose square rounds
+        # one way under libm's pow (``**`` on floats) and another as a
+        # product: the variance is 2.640624999999997, not ...73
+        snrs = [11.07, 16.47, 5.79, 7.94]
+        want = plan_from_pairs_list(snrs, [(0, 1), (2, 3)])
+        assert want.delta_variance == 2.640624999999997
+        assert_same_plan(PairingPlan.from_pairs(snrs, [(0, 1), (2, 3)]), want)
+        assert_same_plan(strategy_d(snrs), run_strategy_list("D", snrs))
+
+    @pytest.mark.parametrize("snrs", [
+        [1.0, 2.0, 3.0],
+        [1.0],
+        [],
+        [float("nan"), 1.0, float("inf"), 2.0],
+        [1e308, -1e308, 0.0, 1.0],
+        [1e200, -1e200, 0.0, 1.0],
+    ])
+    def test_same_rejections(self, snrs):
+        with pytest.raises(ParameterError) as want:
+            check_even_list(snrs)
+        for strategy in "ABCD":
+            with pytest.raises(ParameterError) as got:
+                run_strategy(strategy, snrs)
+            assert str(got.value) == str(want.value)
 
 
 class TestStrategyC:

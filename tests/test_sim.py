@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmts.capacity import DVBS2_CODE_RATES, ModCod, ThresholdTable, default_table
-from hmts.channel import BeamConfig, Receiver, default_weather_cdf, generate_population
+from hmts.channel import BeamConfig, default_weather_cdf, generate_population
 from hmts.errors import DegenerateRateError, ParameterError
 from hmts.rates import RatePair, max_min_weighted, operating_points, pair_gain
 from hmts.sim import (
@@ -148,17 +148,12 @@ class TestPairRateCache:
             cache.pair_rate(np.array([7.0, 8.0]), 10.0, weight, 1)
 
 
-def receivers(snrs, weights=None):
-    weights = [1] * len(snrs) if weights is None else weights
-    return [Receiver(float(s), weight=int(w)) for s, w in zip(snrs, weights)]
-
-
 def assert_trial_matches_scalar(snrs, weights, strategy, seed=0):
     """run_trial on arrays returns the scalar reference's tuple exactly,
     or raises its DegenerateRateError with the same receivers."""
     table = default_table()
     try:
-        want = run_trial_scalar(receivers(snrs, weights), strategy, table, seed=seed)
+        want = run_trial_scalar(snrs, weights, strategy, table, seed=seed)
     except DegenerateRateError as exc:
         with pytest.raises(DegenerateRateError) as err:
             run_trial(snrs, weights, strategy, table, seed=seed)
@@ -206,10 +201,6 @@ class TestRunTrial:
         assert err.value.receivers == (0, 1)
         assert_trial_matches_scalar([-8.0, -9.0, -1e3], [1, 2, 1], "B")
 
-    def test_nan_receiver_rejected(self):
-        with pytest.raises(ParameterError):
-            [Receiver(s) for s in (float("nan"), 20.0, 8.0, 9.0)]
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_snr_rejected_before_lookup(self, table, bad):
         fresh = PairRateCache(table)
@@ -249,10 +240,10 @@ class TestRunTrial:
                 500, BeamConfig(snr_max_db=snr_max), weather,
                 professional_share=share, professional_weight=weight, seed=11,
             )
-            snrs = [r.snr_db for r in population]
-            weights = [r.weight for r in population]
             for strategy in "ABCD":
-                assert_trial_matches_scalar(snrs, weights, strategy, seed=5)
+                assert_trial_matches_scalar(
+                    population.snr_db, population.weight, strategy, seed=5
+                )
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -320,6 +311,28 @@ class TestRunScenario:
         run_scenario(cfg, table=table, population_dir=tmp_path)
         dumps = list(tmp_path.glob("population_*.csv"))
         assert len(dumps) == 1
+
+    def test_rho_set_must_match_the_table(self, table):
+        with pytest.raises(ParameterError, match=r"rho_set \[0.5\] .*\[0.75, 0.8, 0.85, 0.9\]"):
+            run_scenario(small_config(rho_set=(0.5,)), table=table)
+        # one matching rho is enough
+        rep = run_scenario(small_config(rho_set=(0.5, 0.8), n_trials=1), table=table)
+        assert any(r.gain > 0 for r in rep.records)
+
+    @pytest.mark.parametrize("key, value", [
+        ("snr_max_grid", ()), ("snr_max_grid", ("10",)), ("snr_max_grid", (float("nan"),)),
+        ("snr_max_grid", 10.0), ("snr_max_grid", (4000.5,)), ("snr_max_grid", (10**400,)),
+        ("professional_share_grid", (1.5,)), ("rho_set", (-0.1,)),
+        ("professional_share_grid", (False,)), ("professional_share_grid", ()),
+        ("rho_set", (-float("inf"),)), ("rho_set", ()), ("rho_set", "0.8"),
+    ])
+    def test_invalid_sweeps(self, key, value):
+        with pytest.raises(ParameterError, match=key):
+            small_config(**{key: value})
+
+    def test_sweeps_accept_numpy_and_int_values(self):
+        cfg = small_config(snr_max_grid=[np.float64(8.0), 10], rho_set=(np.float32(0.8),))
+        assert cfg.snr_max_grid == [8.0, 10]
 
     def test_invalid_config(self):
         with pytest.raises(ParameterError):
