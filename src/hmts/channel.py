@@ -9,6 +9,7 @@ professional terminals.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import math
 import os
@@ -45,6 +46,7 @@ PROFESSIONAL_OFFSET_DB = 5.0
 _WEATHER_HEADER = ("attenuation_db", "cumulative_probability")
 _POPULATION_HEADER = ("snr_db", "class", "weight")
 _CLASSES = ("personal", "professional")  # indexed by the professional flag
+_MAX_WEIGHT = 2**63 - 1  # the largest weight an int64 array holds
 
 J1_FIRST_ZERO = 3.8317059702075125
 
@@ -147,10 +149,16 @@ def pattern_attenuation(off_axis_angle_rad, cfg: BeamConfig):
     return float(att[0]) if scalar else att
 
 
-@functools.lru_cache(maxsize=None)
 def beam_edge_angle(cfg: BeamConfig) -> float:
     """Off-axis angle (rad) at which the pattern attenuation equals the
     configured edge attenuation."""
+    # the pattern does not depend on the beam-center SNR: one bisection
+    # serves every snr_max of a sweep
+    return _edge_angle(dataclasses.replace(cfg, snr_max_db=0.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_angle(cfg: BeamConfig) -> float:
     lo, hi = 0.0, cfg.first_null_angle_rad * (1.0 - 1e-12)
     target = cfg.edge_attenuation_db
     if pattern_attenuation(hi, cfg) < target:
@@ -334,6 +342,9 @@ def read_population(path: str | os.PathLike) -> Population:
             raise ParameterError(f"{path}: line {lineno}: unknown terminal class {kind!r}")
         if weight < 1:
             raise ParameterError(f"{path}: line {lineno}: weight must be >= 1, got {weight}")
+        if weight > _MAX_WEIGHT:
+            raise ParameterError(
+                f"{path}: line {lineno}: weight must be <= 2**63 - 1, got {weight}")
         snrs.append(snr)
         weights.append(weight)
         professional.append(kind == "professional")

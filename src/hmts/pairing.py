@@ -85,6 +85,24 @@ def strategy_a(snrs) -> PairingPlan:
     return PairingPlan.from_pairs(snrs, pairs)
 
 
+def _bisect_rows(lo, hi, reached) -> np.ndarray:
+    """``bisect_left`` on many rows at once: for each row r, the first m
+    in [lo[r], hi[r]) at which ``reached(rows, m)`` holds for row r, or
+    hi[r] if there is none.  ``reached`` is called with the row numbers
+    still searching and one midpoint for each, and returns a bool array;
+    like ``bisect_left``'s key it must be monotone in m along each row."""
+    lo = np.array(lo, dtype=np.intp)
+    hi = np.array(hi, dtype=np.intp)
+    rows = np.flatnonzero(lo < hi)
+    while rows.size:
+        mid = (lo[rows] + hi[rows]) // 2
+        ok = reached(rows, mid)
+        hi[rows[ok]] = mid[ok]
+        lo[rows[~ok]] = mid[~ok] + 1
+        rows = rows[lo[rows] < hi[rows]]
+    return lo
+
+
 def strategy_b(snrs) -> PairingPlan:
     """Pair receivers whose SNR difference is closest to the maximum
     average difference, greedily; variance of the per-pair difference is
@@ -96,13 +114,56 @@ def strategy_b(snrs) -> PairingPlan:
     receiver's best candidate partner; each receiver walks its partners
     in (closeness, j) order outward from the first j whose computed
     difference reaches the target, so time is O(n log n) in the usual
-    case and memory O(n).
+    case and memory O(n).  Every receiver's first j and first candidate
+    are found at once, by bisecting all rows together with numpy on the
+    same computed differences; the greedy walk itself is a Python loop.
     """
     snrs = _check_even(snrs)
-    target = strategy_a(snrs).delta_avg
     order = np.argsort(snrs, kind="stable")
-    v = snrs[order].tolist()
-    n = len(v)
+    va = snrs[order]
+    n = len(va)
+    half = n // 2
+    # strategy A's delta_avg: the same differences, added in the same order
+    target = float(np.cumsum(np.abs(va[:half] - va[::-1][:half]))[-1] / half)
+
+    # partners j >= right[i] lie at or above the target and come out in
+    # ascending j; below it, closeness grows as j falls, and a run of
+    # equal closeness [run_lo[i], run_hi[i]] comes out in ascending j
+    # from left[i].  Both searches bisect on the computed difference
+    # v[j] - v[i] (and gap), never on v[i] + target, which rounds
+    # differently; runs are of equal gap, since distinct differences can
+    # round to one gap
+    rows = np.arange(n)
+    split = _bisect_rows(rows + 1, np.full(n, n), lambda r, m: va[m] - va[r] >= target)
+    k = split - 1
+    has_left = k > rows
+    gap = (va[k] - va) - target
+    run_lo = np.where(has_left, k, rows + 1)
+    run_hi = np.where(has_left, k, rows)
+    # a run longer than one: v[k - 1] is as far below the target as v[k]
+    tied = np.flatnonzero(has_left & ((va[k - 1] - va) - target >= gap))
+    run_lo[tied] = _bisect_rows(
+        tied + 1, k[tied], lambda r, m: (va[m] - va[tied[r]]) - target >= gap[tied[r]]
+    )
+    # each receiver's first entry: the nearer of the run's first j and
+    # the split, a tie going to the smaller j
+    c_left = np.abs(np.abs(va - va[np.where(has_left, run_lo, rows)]) - target)
+    has_right = split < n
+    c_right = np.abs(np.abs(va - va[np.minimum(split, n - 1)]) - target)
+    take_right = has_right & (~has_left | (c_right < c_left))
+    first = has_left | has_right
+    heap = list(zip(
+        np.where(take_right, c_right, c_left)[first].tolist(),
+        rows[first].tolist(),
+        np.where(take_right, split, run_lo)[first].tolist(),
+    ))
+    heapq.heapify(heap)
+
+    v = va.tolist()
+    right = split.tolist()
+    left = np.where(has_left, run_lo, split).tolist()
+    run_lo = run_lo.tolist()
+    run_hi = run_hi.tolist()
 
     # path-compressed "next unused" pointers: up[k] leads to the smallest
     # unused index >= k (n is a sentinel), down[k + 1] to the largest
@@ -123,23 +184,6 @@ def strategy_b(snrs) -> PairingPlan:
             k = down[k]
         return k - 1
 
-    # partners j >= right[i] lie at or above the target and come out in
-    # ascending j; below it, closeness grows as j falls, and a run of
-    # equal closeness [run_lo[i], run_hi[i]] comes out in ascending j
-    # from left[i].  Both searches bisect on the computed difference
-    # v[j] - v[i] (and gap), never on v[i] + target, which rounds
-    # differently; runs are of equal gap, since distinct differences can
-    # round to one gap
-    right = [0] * n
-    left = [0] * n
-    run_lo = [0] * n
-    run_hi = [0] * n
-    for i in range(n):
-        vi = v[i]
-        split = bisect_left(v, target, i + 1, n, key=lambda x: x - vi)
-        right[i] = left[i] = run_lo[i] = split
-        run_hi[i] = split - 1
-
     def best_partner(i):
         """(closeness, i, j) for i's best unused partner j > i, or None."""
         vi = v[i]
@@ -148,7 +192,10 @@ def strategy_b(snrs) -> PairingPlan:
             k = last_unused_to(run_lo[i] - 1)
             if k > i:
                 gap = (v[k] - vi) - target
-                lo = bisect_left(v, gap, i + 1, k, key=lambda x: (x - vi) - target)
+                if (v[k - 1] - vi) - target < gap:  # a run of one
+                    lo = k
+                else:
+                    lo = bisect_left(v, gap, i + 1, k, key=lambda x: (x - vi) - target)
                 run_lo[i], run_hi[i] = lo, k
                 j = left[i] = first_unused_from(lo)
             else:
@@ -162,10 +209,8 @@ def strategy_b(snrs) -> PairingPlan:
                 return (c_right, i, r)
         return None if j is None else (c_left, i, j)
 
-    heap = [entry for entry in map(best_partner, range(n)) if entry is not None]
-    heapq.heapify(heap)
     pairs = []
-    while len(pairs) < n // 2:
+    while len(pairs) < half:
         _, a, b = heap[0]
         if up[a] != a:
             heapq.heappop(heap)

@@ -6,10 +6,11 @@ equal-rate point enumerates segment-diagonal intersections instead of
 building a hull, matching optima come from a subset dynamic programme
 checked against enumeration, and the Bessel function is integrated
 numerically.  ``run_strategy_list`` (with ``strategy_b_allpairs``),
-``stream_mutual_information_dense``, ``PairRateCacheScalar`` and
-``run_trial_scalar`` are the exceptions: they are the previous
-implementations of the pairing strategies (Python lists, strategy B by
-sorting all pairs), of the Monte-Carlo stream MI (one masked
+``strategy_b_heap``, ``stream_mutual_information_dense``,
+``PairRateCacheScalar`` and ``run_trial_scalar`` are the exceptions:
+they are the previous implementations of the pairing strategies (Python
+lists, strategy B by sorting all pairs, then as a heap walk set up one
+receiver at a time), of the Monte-Carlo stream MI (one masked
 log-sum-exp per sum over a sample-major tensor) and of the per-receiver
 trial with its memoised pair rates (``rates.operating_points`` and
 ``rates.max_min_weighted`` per bucket pair), kept to pin the package's
@@ -18,9 +19,10 @@ faster ones to the same plans and values.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +38,7 @@ from hmts.capacity import (
 )
 from hmts.constellation import Constellation
 from hmts.errors import DegenerateRateError, ParameterError
-from hmts.pairing import STRATEGIES, PairingPlan
+from hmts.pairing import STRATEGIES, PairingPlan, strategy_a
 from hmts.rates import hierarchical_gain, max_min_weighted, operating_points
 
 
@@ -377,6 +379,98 @@ def strategy_b_allpairs(snrs) -> PairingPlan:
         if len(pairs) == n // 2:
             break
     return plan_from_pairs_list(snrs, pairs)
+
+
+def strategy_b_heap(snrs) -> PairingPlan:
+    """Strategy B as a lazy-heap greedy set up one receiver at a time,
+    with a scalar ``bisect_left`` for each receiver's first partner and
+    first run: the reference for ``hmts.pairing.strategy_b``, which
+    must return the same plan and is checked against it at sizes too
+    large for ``strategy_b_allpairs``."""
+    snrs = np.array(check_even_list(snrs))
+    target = strategy_a(snrs).delta_avg
+    order = np.argsort(snrs, kind="stable")
+    v = snrs[order].tolist()
+    n = len(v)
+
+    # path-compressed "next unused" pointers: up[k] leads to the smallest
+    # unused index >= k (n is a sentinel), down[k + 1] to the largest
+    # unused index <= k (-1 is a sentinel)
+    up = list(range(n + 1))
+    down = list(range(n + 1))
+
+    def first_unused_from(k):
+        while up[k] != k:
+            up[k] = up[up[k]]
+            k = up[k]
+        return k
+
+    def last_unused_to(k):
+        k += 1
+        while down[k] != k:
+            down[k] = down[down[k]]
+            k = down[k]
+        return k - 1
+
+    # partners j >= right[i] lie at or above the target and come out in
+    # ascending j; below it, closeness grows as j falls, and a run of
+    # equal closeness [run_lo[i], run_hi[i]] comes out in ascending j
+    # from left[i].  Both searches bisect on the computed difference
+    # v[j] - v[i] (and gap), never on v[i] + target, which rounds
+    # differently; runs are of equal gap, since distinct differences can
+    # round to one gap
+    right = [0] * n
+    left = [0] * n
+    run_lo = [0] * n
+    run_hi = [0] * n
+    for i in range(n):
+        vi = v[i]
+        split = bisect_left(v, target, i + 1, n, key=lambda x: x - vi)
+        right[i] = left[i] = run_lo[i] = split
+        run_hi[i] = split - 1
+
+    def best_partner(i):
+        """(closeness, i, j) for i's best unused partner j > i, or None."""
+        vi = v[i]
+        j = left[i] = first_unused_from(left[i])
+        if j > run_hi[i]:
+            k = last_unused_to(run_lo[i] - 1)
+            if k > i:
+                gap = (v[k] - vi) - target
+                lo = bisect_left(v, gap, i + 1, k, key=lambda x: (x - vi) - target)
+                run_lo[i], run_hi[i] = lo, k
+                j = left[i] = first_unused_from(lo)
+            else:
+                run_lo[i], run_hi[i] = i + 1, i
+                j = None
+        c_left = None if j is None else abs(abs(vi - v[j]) - target)
+        r = right[i] = first_unused_from(right[i])
+        if r < n:
+            c_right = abs(abs(vi - v[r]) - target)
+            if j is None or c_right < c_left:  # a tie goes to the smaller j
+                return (c_right, i, r)
+        return None if j is None else (c_left, i, j)
+
+    heap = [entry for entry in map(best_partner, range(n)) if entry is not None]
+    heapq.heapify(heap)
+    pairs = []
+    while len(pairs) < n // 2:
+        _, a, b = heap[0]
+        if up[a] != a:
+            heapq.heappop(heap)
+        elif up[b] != b:
+            entry = best_partner(a)
+            if entry is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, entry)
+        else:
+            heapq.heappop(heap)
+            for k in (a, b):
+                up[k] = k + 1
+                down[k + 1] = k
+            pairs.append((a, b))
+    return PairingPlan.from_pairs(snrs, order[np.array(pairs)])
 
 
 def strategy_c_list(snrs, seed=0) -> PairingPlan:

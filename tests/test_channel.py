@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hmts import channel
 from hmts.channel import (
     J1_FIRST_ZERO,
     BeamConfig,
@@ -76,6 +77,18 @@ class TestPatternAttenuation:
     def test_beam_scale(self, beam):
         # 1.5 m dish at 20 GHz: edge of a 4 dB spot is about 0.34 degrees
         assert math.degrees(beam_edge_angle(beam)) == pytest.approx(0.336, abs=0.01)
+
+    def test_edge_angle_bisected_once_per_geometry(self):
+        # the angle depends on the dish, frequency, edge and altitude, not on
+        # snr_max: a sweep over snr_max reuses one bisection, and its angle
+        # is the one each BeamConfig got when it was its own cache key
+        channel._edge_angle.cache_clear()
+        for snr_max in (7.0, 10.0, 13.0, 16.0, 18.0, -3.5):
+            assert beam_edge_angle(BeamConfig(snr_max_db=snr_max)) == 0.005866821825046022
+        assert channel._edge_angle.cache_info().misses == 1
+        other = BeamConfig(snr_max_db=3.0, antenna_diameter_m=2.4, edge_attenuation_db=3.0)
+        assert beam_edge_angle(other) == 0.003208220605844872
+        assert channel._edge_angle.cache_info().misses == 2
 
 
 class TestLocationCdf:
@@ -261,6 +274,8 @@ class TestPopulationIo:
             ("5.0,corporate,1", "unknown terminal class 'corporate'"),
             ("5.0,personal,0", "weight must be >= 1"),
             ("5.0,personal,-1", "weight must be >= 1"),
+            ("5.0,personal,9223372036854775808", "weight must be <= 2\\*\\*63 - 1"),
+            ("6.0,professional,99999999999999999999", "weight must be <= 2\\*\\*63 - 1"),
             ("5.0,personal,1.5", "bad receiver row"),
             ("nan,personal,1", "snr_db must be finite"),
             ("inf,personal,1", "snr_db must be finite"),
@@ -270,3 +285,10 @@ class TestPopulationIo:
             path.write_text(f"snr_db,class,weight\n7.0,personal,1\n{row}\n")
             with pytest.raises(ParameterError, match=f"line 3: {problem}"):
                 read_population(path)
+
+    def test_largest_weight_read_as_int64(self, tmp_path):
+        path = tmp_path / "population.csv"
+        path.write_text("snr_db,class,weight\n7.0,personal,1\n6.0,professional,9223372036854775807\n")
+        pop = read_population(path)
+        assert pop.weight.dtype == np.int64
+        assert pop.weight.tolist() == [1, 2**63 - 1]

@@ -292,7 +292,7 @@ class TestPairingCommand:
 
     @pytest.mark.parametrize("row", [
         "4.0,corporate,1", "4.0,personal,0", "4.0,personal,-1", "4.0,personal,1.5",
-        "inf,personal,1", "-inf,professional,1",
+        "inf,personal,1", "-inf,professional,1", "6.0,professional,99999999999999999999",
     ])
     def test_bad_population_row_exit_2(self, tmp_path, capsys, row):
         pop_file = tmp_path / "pop.csv"

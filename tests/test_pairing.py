@@ -1,13 +1,14 @@
 """Grouping strategy tests against enumeration oracles."""
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hmts import pairing
+from hmts import pairing, sim
 from hmts.errors import ParameterError
 from hmts.pairing import (
     STRATEGIES,
@@ -28,6 +29,7 @@ from oracles import (
     plan_from_pairs_list,
     run_strategy_list,
     strategy_b_allpairs,
+    strategy_b_heap,
 )
 
 
@@ -122,6 +124,25 @@ def _even(values):
     return values[: len(values) - len(values) % 2]
 
 
+# tie-heavy 0.5 dB levels with both signed zeros
+TIED = st.sampled_from([0.5 * k for k in range(-3, 5)] + [-0.0])
+# wide-spread values, tiny and signed-zero specials
+WIDE = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(-1e150, 1e150, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, 0.2, 0.3, 1e6, -1e6]),
+)
+# +-1e150 beside values a few ulps apart: the computed differences
+# v[j] - v[i] from a far value to the cluster round to one number, so a
+# receiver's candidates below the target come in long runs of equal gap
+CLUSTERED = st.one_of(
+    st.sampled_from([-1e150, 1e150, -2e150, 3e150]),
+    st.integers(-3, 3).map(lambda k: 1.0 + k * 2.0**-52),
+    st.integers(-3, 3).map(lambda k: k * 5e-324),
+    st.integers(-3, 3).map(lambda k: 2.0**53 + 2.0 * k),  # ulp 2 above 2**53
+)
+
+
 class TestStrategyBMatchesAllPairs:
     """The heap greedy returns exactly the plan of the all-pairs sort."""
 
@@ -156,6 +177,20 @@ class TestStrategyBMatchesAllPairs:
     def test_edge_cases(self, snrs):
         assert strategy_b(snrs) == strategy_b_allpairs(snrs)
 
+    @given(st.lists(st.one_of(CLUSTERED, CLUSTERED, TIED), min_size=2, max_size=60))
+    @example([1e150, 1.0])
+    @example([-1e150, 1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-52, 1e150, 0.0])
+    # 1.0 + target rounds down onto 2**53, whose difference from 1.0 is
+    # below the target: a split searched on v + target instead of on
+    # v[j] - v[i] gives another plan
+    @example([2.0**53, 1.0 + 3 * 2.0**-52, 2.0**53, 1.0 + 3 * 2.0**-52, 2.0**53 + 2, 1.0])
+    @settings(max_examples=200, deadline=None)
+    def test_far_values_beside_clusters(self, snrs):
+        snrs = _even(snrs)
+        want = strategy_b_allpairs(snrs)
+        assert strategy_b(snrs) == want
+        assert strategy_b_heap(snrs) == want
+
     def test_seeded_thousand_receivers(self):
         rng = np.random.default_rng(61)
         snrs = [float(s) for s in np.round(rng.normal(9.0, 4.0, 1000), 2)]
@@ -166,20 +201,80 @@ class TestStrategyBMatchesAllPairs:
         assert plan.delta_variance == reference.delta_variance
 
 
-# tie-heavy 0.5 dB levels with both signed zeros
-TIED = st.sampled_from([0.5 * k for k in range(-3, 5)] + [-0.0])
-# wide-spread values, tiny and signed-zero specials
-WIDE = st.one_of(
-    st.floats(-1e6, 1e6, allow_nan=False),
-    st.floats(-1e150, 1e150, allow_nan=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, 0.2, 0.3, 1e6, -1e6]),
-)
-
-
 def assert_same_plan(got, want):
     assert got.pairs == want.pairs
     assert got.delta_avg == want.delta_avg
     assert got.delta_variance == want.delta_variance
+
+
+class TestStrategyBMatchesHeap:
+    """Strategy B returns the plan of the heap walk set up one receiver at
+    a time, at sizes the all-pairs sort cannot reach."""
+
+    @pytest.mark.parametrize("n", [5000, 20000])
+    def test_seeded_normal_snrs(self, n):
+        snrs = np.random.default_rng(n).normal(9.0, 4.0, n)
+        assert_same_plan(strategy_b(snrs), strategy_b_heap(snrs))
+
+    def test_homogeneous_sweep_populations(self, monkeypatch):
+        # every pool strategy B pairs in the homogeneous_500 sweep, seed 1
+        seen = []
+
+        def both(snrs):
+            seen.append(len(snrs))
+            plan = strategy_b(snrs)
+            assert_same_plan(plan, strategy_b_heap(snrs))
+            return plan
+
+        monkeypatch.setitem(pairing.STRATEGIES, "B", both)
+        cfg = sim.ScenarioConfig(
+            n_receivers=500, n_trials=10, snr_max_grid=(7.0, 10.0, 13.0, 16.0, 18.0),
+            strategies=("B",), seed=1,
+        )
+        sim.run_scenario(cfg, mode="homogeneous")
+        assert len(seen) == 50 and min(seen) >= 2
+
+
+def _bisect_rows_reference(values, lo, hi, thresholds):
+    return [
+        bisect_left(values, True, lo[r], hi[r], key=lambda x, t=t: x >= t)
+        for r, t in enumerate(thresholds)
+    ]
+
+
+class TestBisectRows:
+    """The row bisection behind strategy B's set-up against bisect_left
+    with the same key, row by row."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bisect_left(self, data):
+        values = sorted(data.draw(st.lists(st.integers(-5, 5), max_size=30)))
+        n = len(values)
+        lo = data.draw(st.lists(st.integers(0, n), max_size=20))
+        hi = [data.draw(st.integers(start, n)) for start in lo]
+        # thresholds beyond the values: a key that is never or always true
+        thresholds = data.draw(st.lists(st.integers(-7, 7), min_size=len(lo), max_size=len(lo)))
+        v, t = np.array(values, dtype=int), np.array(thresholds, dtype=int)
+        got = pairing._bisect_rows(lo, hi, lambda r, m: v[m] >= t[r])
+        assert got.tolist() == _bisect_rows_reference(values, lo, hi, thresholds)
+
+    @pytest.mark.parametrize("threshold", [-1, 2, 9])  # always, sometimes, never true
+    def test_edge_ranges(self, threshold):
+        values = [0, 1, 1, 2, 3, 5]
+        n = len(values)
+        lo = [0, 0, 3, n, 2, 0, 6]
+        hi = [n, 0, 3, n, 5, 1, 6]  # rows 1-3 and 6 are empty ranges
+        v = np.array(values)
+        got = pairing._bisect_rows(lo, hi, lambda r, m: v[m] >= threshold)
+        assert got.tolist() == _bisect_rows_reference(values, lo, hi, [threshold] * len(lo))
+
+    def test_no_rows(self):
+        def never_called(rows, m):
+            raise AssertionError("no row to search")
+
+        assert pairing._bisect_rows([], [], never_called).tolist() == []
+        assert pairing._bisect_rows([2, 4], [2, 4], never_called).tolist() == [2, 4]
 
 
 class TestMatchesListOracle:
