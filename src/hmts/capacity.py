@@ -41,7 +41,6 @@ __all__ = [
     "save_thresholds",
     "default_table",
     "best_entry",
-    "best_single_rate",
 ]
 
 STREAMS = ("single", "HE", "LE")
@@ -269,12 +268,6 @@ def best_entry(entries, snr_db: float) -> ModCod | None:
     return best
 
 
-def best_single_rate(table: ThresholdTable, snr_db: float) -> float:
-    """Highest single-stream spectral efficiency decodable at ``snr_db``."""
-    best = best_entry(table.singles(), snr_db)
-    return best.spectral_efficiency if best else 0.0
-
-
 def _stream_masks(c: Constellation, stream: str):
     """(universe, same_class) boolean masks over symbol pairs.
 
@@ -433,21 +426,16 @@ def estimate_threshold(
 def estimate_hierarchical_thresholds(
     rho_he: float,
     rates=DVBS2_CODE_RATES,
-    params: Apsk16Params | None = None,
     quality: int = DEFAULT_MI_QUALITY,
     loss_margin_db: float = DEFAULT_LOSS_MARGIN_DB,
     seed: int = 0,
 ) -> list[ModCod]:
-    """HE and LE threshold entries for one hierarchical 16-APSK.
-
-    Uses the adopted geometry for ``rho_he`` unless ``params`` overrides
-    it.  Rates whose LE threshold is unreachable below 30 dB are skipped.
+    """HE and LE threshold entries for the hierarchical 16-APSK adopted
+    for ``rho_he``.  Rates whose LE threshold is unreachable below 30 dB
+    are skipped.
     """
     mod_id = hierarchical_modulation_id(rho_he)
-    if params is None:
-        c = hierarchical_constellation(mod_id)
-    else:
-        c = build_16apsk(params, name=mod_id)
+    c = hierarchical_constellation(mod_id)
     entries = []
     for stream in ("HE", "LE"):
         for rate in rates:

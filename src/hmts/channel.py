@@ -30,7 +30,6 @@ __all__ = [
     "J1_FIRST_ZERO",
     "pattern_attenuation",
     "beam_edge_angle",
-    "location_attenuation_cdf",
     "attenuation_at_disk_fraction",
     "sample_weather",
     "generate_population",
@@ -172,35 +171,9 @@ def _edge_angle(cfg: BeamConfig) -> float:
     return 0.5 * (lo + hi)
 
 
-def location_attenuation_cdf(attenuation_db: float, cfg: BeamConfig) -> float:
-    """P(location attenuation <= a) for a uniformly populated beam disk.
-
-    Equals the squared ratio of ground radii; the ground radius uses the
-    flat-Earth mapping r = altitude * tan(angle), adequate at sub-degree
-    beam widths.
-    """
-    a = float(attenuation_db)
-    if not 0.0 <= a <= cfg.edge_attenuation_db:
-        raise ParameterError(
-            f"attenuation must lie in [0, {cfg.edge_attenuation_db}], got {a}"
-        )
-    edge = beam_edge_angle(cfg)
-    if a == 0.0:
-        return 0.0
-    lo, hi = 0.0, edge
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if pattern_attenuation(mid, cfg) < a:
-            lo = mid
-        else:
-            hi = mid
-    angle = 0.5 * (lo + hi)
-    return (math.tan(angle) / math.tan(edge)) ** 2
-
-
 def attenuation_at_disk_fraction(radius_fraction, cfg: BeamConfig):
     """Location attenuation at a given fraction of the beam-edge ground
-    radius (inverse of the location CDF up to the square)."""
+    radius, with the flat-Earth radius altitude * tan(angle)."""
     frac = np.asarray(radius_fraction, dtype=float)
     if np.any(frac < 0) or np.any(frac > 1):
         raise ParameterError("radius fraction must lie in [0, 1]")
@@ -222,8 +195,11 @@ class WeatherCdf:
             raise ParameterError("weather CDF needs at least one breakpoint")
         attens = [a for a, _ in pts]
         probs = [p for _, p in pts]
-        if any(a < 0 for a in attens) or any(b < a for a, b in zip(attens, attens[1:])):
-            raise ParameterError("attenuations must be nonnegative and nondecreasing")
+        # the range check rejects NaN and inf
+        if any(not 0 <= a < math.inf for a in attens) or any(
+            b < a for a, b in zip(attens, attens[1:])
+        ):
+            raise ParameterError("attenuations must be finite, nonnegative and nondecreasing")
         if any(not 0 <= p <= 1 for p in probs) or any(q < p for p, q in zip(probs, probs[1:])):
             raise ParameterError("probabilities must be nondecreasing within [0, 1]")
         if probs[-1] != 1.0:
@@ -238,19 +214,16 @@ class WeatherCdf:
         pts = []
         for lineno, row in read_rows(path, _WEATHER_HEADER, ParameterError):
             try:
-                pts.append((float(row[0]), float(row[1])))
+                atten, prob = float(row[0]), float(row[1])
             except (ValueError, IndexError):
                 raise ParameterError(f"{path}: line {lineno}: bad breakpoint {row!r}") from None
+            if not math.isfinite(atten):
+                raise ParameterError(
+                    f"{path}: line {lineno}: attenuation_db must be finite, got {atten}")
+            pts.append((atten, prob))
         if not pts:
             raise ParameterError(f"{path}: no breakpoints found")
         return cls(points=tuple(pts))
-
-    def to_csv(self, path: str | os.PathLike) -> None:
-        with atomic_writer(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_WEATHER_HEADER)
-            for a, p in self.points:
-                writer.writerow([f"{a:.6g}", f"{p:.6g}"])
 
 
 def default_weather_cdf() -> WeatherCdf:

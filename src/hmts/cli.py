@@ -116,9 +116,16 @@ def resolve_settings(args) -> None:
             raise ParameterError(f"{_SETTINGS[name][1]} must be a path string, got {value!r}")
     for name in ("snr1", "snr2", "min", "max", "step"):
         value = getattr(args, name)
-        if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
+        if value is None:
+            continue
+        try:
+            # JSON true and false arrive as bool, a subclass of int
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int beyond float range
+            finite = False
+        if not finite:
             raise ParameterError(f"{name} must be a finite number, got {value!r}")
-    if not isinstance(args.seed, int) or args.seed < 0:
+    if isinstance(args.seed, bool) or not isinstance(args.seed, int) or args.seed < 0:
         raise ParameterError(f"seed must be an integer >= 0, got {args.seed!r}")
     if args.step <= 0:
         raise ParameterError(f"step must be > 0, got {args.step}")

@@ -18,7 +18,6 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from ._csv import atomic_writer
 from .errors import ParameterError, SymbolOverlapError
 
 __all__ = [
-    "Qam16Params",
     "Apsk16Params",
     "Constellation",
     "EnergySolution",
@@ -35,8 +33,6 @@ __all__ = [
     "gamma_limit",
     "solution_set",
     "build_16apsk",
-    "build_16qam",
-    "build_hierarchical_8psk",
     "build_uniform",
 ]
 
@@ -46,37 +42,8 @@ _GRAY2 = ("00", "01", "11", "10")
 _GRAY3 = ("000", "001", "011", "010", "110", "111", "101", "100")
 _QUADRANT_CENTERS_DEG = (45.0, 135.0, 225.0, 315.0)
 
-# DVB-S2 ring ratios of the uniform 16-APSK, indexed by LDPC code rate.
-DVBS2_16APSK_RING_RATIO = {
-    Fraction(2, 3): 3.15,
-    Fraction(3, 4): 2.85,
-    Fraction(4, 5): 2.75,
-    Fraction(5, 6): 2.70,
-    Fraction(8, 9): 2.60,
-    Fraction(9, 10): 2.57,
-}
-_DEFAULT_UNIFORM_RING_RATIO = 2.70
-
-
-@dataclass(frozen=True)
-class Qam16Params:
-    """Hierarchical 16-QAM geometry: ``alpha`` is the ratio d_h/d_l.
-
-    ``alpha = 1`` is the uniform 16-QAM, ``alpha = 0`` superposes two
-    equal-energy QPSKs.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha) or self.alpha < 0:
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
-
-    @property
-    def he_energy_fraction(self) -> float:
-        """Share of the symbol energy carried by the HE stream."""
-        s = (1.0 + self.alpha) ** 2
-        return s / (s + 1.0)
+# ring ratio of the uniform 16-APSK, a mid-range DVB-S2 value
+_UNIFORM_RING_RATIO = 2.70
 
 
 @dataclass(frozen=True)
@@ -250,10 +217,6 @@ def solution_set(rho_he: float, n_samples: int = 512, gamma_cap: float = 5.0) ->
     return EnergySolution(rho_he=rho_he, gamma_lim=lim, curve=np.column_stack([gammas, thetas]))
 
 
-def _label_16(quadrant: int, point: int) -> str:
-    return _GRAY2[quadrant] + _GRAY2[point]
-
-
 def build_16apsk(params: Apsk16Params, name: str | None = None) -> Constellation:
     """Hierarchical 16-APSK: 4 inner-ring points on the diagonals plus 12
     outer-ring points, three per quadrant at the diagonal and diagonal
@@ -282,7 +245,7 @@ def build_16apsk(params: Apsk16Params, name: str | None = None) -> Constellation
             r1 * np.exp(1j * c),
         ]
         symbols.extend(points)
-        labels.extend(_label_16(q, p) for p in range(4))
+        labels.extend(_GRAY2[q] + le for le in _GRAY2)
     arr = np.array(symbols)
     arr = arr / math.sqrt(float(np.mean(np.abs(arr) ** 2)))
     return Constellation(
@@ -294,65 +257,8 @@ def build_16apsk(params: Apsk16Params, name: str | None = None) -> Constellation
     )
 
 
-def build_16qam(params: Qam16Params) -> Constellation:
-    """Hierarchical 16-QAM as the superposition of an HE QPSK with minimum
-    distance 2*(d_h + d_l) and an LE QPSK with minimum distance 2*d_l.
-    """
-    alpha = params.alpha
-    d_l = 1.0
-    d_h = alpha * d_l
-    signs = [(+1, +1), (-1, +1), (-1, -1), (+1, -1)]  # Gray order
-    symbols = []
-    labels = []
-    for q, (hi, hq) in enumerate(signs):
-        he = complex(hi * (d_h + d_l), hq * (d_h + d_l))
-        for p, (li, lq) in enumerate(signs):
-            symbols.append(he + complex(li * d_l, lq * d_l))
-            labels.append(_label_16(q, p))
-    arr = np.array(symbols)
-    arr = arr / math.sqrt(float(np.mean(np.abs(arr) ** 2)))
-    return Constellation(
-        name=f"H16QAM(alpha={alpha:g})",
-        symbols=arr,
-        labels=tuple(labels),
-        he_bits=(0, 1),
-        le_bits=(2, 3),
-    )
-
-
-def build_hierarchical_8psk(theta_deg: float) -> Constellation:
-    """Hierarchical 8-PSK: one LE bit offsets each QPSK point by
-    +/- theta along the unit circle.
-
-    The half angle has no standard value; it must be chosen explicitly
-    for the link at hand.
-    """
-    if not 0.0 < theta_deg < 45.0:
-        raise ParameterError(
-            f"theta_deg must lie in (0, 45), got {theta_deg}"
-        )
-    symbols = []
-    labels = []
-    t = math.radians(theta_deg)
-    for q, center in enumerate(_QUADRANT_CENTERS_DEG):
-        c = math.radians(center)
-        symbols.extend([np.exp(1j * (c - t)), np.exp(1j * (c + t))])
-        labels.extend([_GRAY2[q] + "0", _GRAY2[q] + "1"])
-    return Constellation(
-        name=f"H8PSK(theta={theta_deg:g})",
-        symbols=np.array(symbols),
-        labels=tuple(labels),
-        he_bits=(0, 1),
-        le_bits=(2,),
-    )
-
-
-def build_uniform(name: str, code_rate: Fraction | None = None) -> Constellation:
-    """Standard unit-energy constellation: QPSK, 8PSK or 16APSK-uniform.
-
-    The uniform 16-APSK ring ratio follows the DVB-S2 value for
-    ``code_rate`` when given, otherwise a mid-range default.
-    """
+def build_uniform(name: str) -> Constellation:
+    """Standard unit-energy constellation: QPSK, 8PSK or 16APSK-uniform."""
     if name == "QPSK":
         symbols = np.exp(1j * np.radians(np.array(_QUADRANT_CENTERS_DEG)))
         return Constellation(name="QPSK", symbols=symbols, labels=_GRAY2)
@@ -360,10 +266,7 @@ def build_uniform(name: str, code_rate: Fraction | None = None) -> Constellation
         angles = np.radians(22.5 + 45.0 * np.arange(8))
         return Constellation(name="8PSK", symbols=np.exp(1j * angles), labels=_GRAY3)
     if name == "16APSK-uniform":
-        ratio = _DEFAULT_UNIFORM_RING_RATIO
-        if code_rate is not None:
-            ratio = DVBS2_16APSK_RING_RATIO.get(Fraction(code_rate), ratio)
-        inner = build_16apsk(Apsk16Params(gamma=ratio, theta_deg=30.0))
+        inner = build_16apsk(Apsk16Params(gamma=_UNIFORM_RING_RATIO, theta_deg=30.0))
         return Constellation(
             name="16APSK-uniform",
             symbols=inner.symbols,

@@ -52,7 +52,9 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self):
-        for name, least in (("n_receivers", 2), ("n_trials", 1), ("professional_weight", 1)):
+        for name, least in (
+            ("n_receivers", 2), ("n_trials", 1), ("professional_weight", 1), ("seed", 0),
+        ):
             value = getattr(self, name)
             integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             if not integer or value < least:
@@ -92,7 +94,6 @@ class GainReport:
     """Per-trial gain records plus aggregation helpers."""
 
     records: tuple[GainRecord, ...]
-    mode: str = "homogeneous"
 
     @functools.cached_property
     def _groups(self) -> dict[tuple[float, str, float], list[float]]:
@@ -424,13 +425,16 @@ def run_scenario(
                             hier_rate=hier, gain=gain, n_excluded=len(excluded),
                         )
                     )
-    return GainReport(records=tuple(records), mode=mode)
+    return GainReport(records=tuple(records))
 
 
-def summarize(report: GainReport, noise_tol: float = 0.005) -> list[dict]:
+_AB_NOISE_TOL = 0.005
+
+
+def summarize(report: GainReport) -> list[dict]:
     """Mean-gain ordering checks A >= B >= C >= D per configuration.
 
-    A and B may tie within ``noise_tol``.  Returns one row per
+    A and B may tie within ``_AB_NOISE_TOL``.  Returns one row per
     (snr_max, share) with the mean gains and the ordering booleans for the
     strategies present in the report.
     """
@@ -443,7 +447,7 @@ def summarize(report: GainReport, noise_tol: float = 0.005) -> list[dict]:
         means = {s: report.mean_gain(snr, s, share) for s in strategies}
         row: dict = {"snr_max_db": snr, "share": share, "means": means}
         for lo, hi in zip(strategies[1:], strategies):
-            tol = noise_tol if {lo, hi} == {"A", "B"} else 0.0
+            tol = _AB_NOISE_TOL if {lo, hi} == {"A", "B"} else 0.0
             row[f"{hi}>={lo}"] = means[hi] >= means[lo] - tol
         rows.append(row)
     return rows

@@ -5,9 +5,13 @@ information uses Gauss-Hermite quadrature instead of Monte-Carlo, the
 equal-rate point enumerates segment-diagonal intersections instead of
 building a hull, matching optima come from a subset dynamic programme
 checked against enumeration, and the Bessel function is integrated
-numerically.  ``run_strategy_list`` (with ``strategy_b_allpairs``),
-``strategy_b_heap``, ``stream_mutual_information_dense``,
-``PairRateCacheScalar`` and ``run_trial_scalar`` are the exceptions:
+numerically, also inside the location CDF, which runs its own
+bisection.  ``best_single_rate`` reads the table entry by entry, and
+the hierarchical 16-QAM and 8-PSK are extra MI-kernel inputs that the
+threshold table cannot carry.  ``run_strategy_list`` (with
+``strategy_b_allpairs``), ``strategy_b_heap``,
+``stream_mutual_information_dense``, ``PairRateCacheScalar`` and
+``run_trial_scalar`` are the exceptions:
 they are the previous implementations of the pairing strategies (Python
 lists, strategy B by sorting all pairs, then as a heap walk set up one
 receiver at a time), of the Monte-Carlo stream MI (one masked
@@ -34,8 +38,9 @@ from hmts.capacity import (
     _SNR_FLOOR_DB,
     ThresholdTable,
     _stream_masks,
-    best_single_rate,
+    best_entry,
 )
+from hmts.channel import BeamConfig
 from hmts.constellation import Constellation
 from hmts.errors import DegenerateRateError, ParameterError
 from hmts.pairing import STRATEGIES, PairingPlan, strategy_a
@@ -109,6 +114,45 @@ def qpsk_mi(snr_db, order=48):
     symbols = np.exp(1j * np.radians(np.array([45.0, 135.0, 225.0, 315.0])))
     labels = ("00", "01", "11", "10")
     return mi_quadrature(symbols, labels, ("",) * 4, snr_db, order=order)
+
+
+_GRAY2 = ("00", "01", "11", "10")
+
+
+def hierarchical_16qam(alpha: float) -> Constellation:
+    """Hierarchical 16-QAM, alpha = d_h/d_l: an HE QPSK with minimum
+    distance 2*(d_h + d_l) plus an LE QPSK with minimum distance 2*d_l
+    (alpha = 0 superposes two equal-energy QPSKs)."""
+    signs = [(+1, +1), (-1, +1), (-1, -1), (+1, -1)]  # Gray order
+    symbols = []
+    labels = []
+    for q, (hi, hq) in enumerate(signs):
+        he = complex(hi * (alpha + 1.0), hq * (alpha + 1.0))
+        for p, (li, lq) in enumerate(signs):
+            symbols.append(he + complex(li, lq))
+            labels.append(_GRAY2[q] + _GRAY2[p])
+    arr = np.array(symbols)
+    arr = arr / math.sqrt(float(np.mean(np.abs(arr) ** 2)))
+    return Constellation(
+        name=f"H16QAM(alpha={alpha:g})", symbols=arr, labels=tuple(labels),
+        he_bits=(0, 1), le_bits=(2, 3),
+    )
+
+
+def hierarchical_8psk(theta_deg: float) -> Constellation:
+    """Hierarchical 8-PSK: one LE bit offsets each QPSK point by
+    +/- theta along the unit circle, so the LE stream carries 1 bit."""
+    symbols = []
+    labels = []
+    t = math.radians(theta_deg)
+    for q, center in enumerate((45.0, 135.0, 225.0, 315.0)):
+        c = math.radians(center)
+        symbols.extend([np.exp(1j * (c - t)), np.exp(1j * (c + t))])
+        labels.extend([_GRAY2[q] + "0", _GRAY2[q] + "1"])
+    return Constellation(
+        name=f"H8PSK(theta={theta_deg:g})", symbols=np.array(symbols),
+        labels=tuple(labels), he_bits=(0, 1), le_bits=(2,),
+    )
 
 
 def invert_mi_grid(mi_fn, target, lo=-10.0, hi=30.0, step=0.01):
@@ -310,6 +354,41 @@ def bessel_j1_simpson(x, n=40001):
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float(h / 3.0 * np.sum(weights * integrand) / math.pi)
+
+
+def location_attenuation_cdf(attenuation_db: float, cfg: BeamConfig) -> float:
+    """P(location attenuation <= a) for a uniformly populated beam disk:
+    the squared ratio of the flat-Earth ground radii altitude * tan(angle)
+    at which the pattern loses ``a`` and the edge attenuation.
+
+    The pattern 2*J1(u)/u, u = pi * D * sin(angle) / wavelength, is
+    bisected in u below the first null of J1, with ``bessel_j1_simpson``
+    on 129 nodes: the integrand is smooth, periodic and even about pi,
+    so that is already exact to about 1e-15 here.
+    """
+    a = float(attenuation_db)
+    if not 0.0 <= a <= cfg.edge_attenuation_db:
+        raise ParameterError(
+            f"attenuation must lie in [0, {cfg.edge_attenuation_db}], got {a}"
+        )
+    if a == 0.0:
+        return 0.0
+
+    def u_at(loss_db):
+        lo, hi = 0.0, 3.8317  # J1's first zero is 3.83171
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            ratio = 2.0 * bessel_j1_simpson(mid, n=129) / mid
+            if ratio > 0.0 and -20.0 * math.log10(ratio) < loss_db:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    sin_per_u = 299_792_458.0 / cfg.frequency_hz / (math.pi * cfg.antenna_diameter_m)
+    angle = math.asin(u_at(a) * sin_per_u)
+    edge = math.asin(u_at(cfg.edge_attenuation_db) * sin_per_u)
+    return (math.tan(angle) / math.tan(edge)) ** 2
 
 
 def check_even_list(snrs) -> list[float]:
@@ -545,6 +624,12 @@ def stream_mutual_information_dense(
     n_classes = u_sizes[0] / c_sizes[0]
     info = math.log2(n_classes) - float(np.mean(lse_u - lse_c)) / math.log(2.0)
     return info
+
+
+def best_single_rate(table: ThresholdTable, snr_db: float) -> float:
+    """Highest single-stream spectral efficiency decodable at ``snr_db``."""
+    best = best_entry(table.singles(), snr_db)
+    return best.spectral_efficiency if best else 0.0
 
 
 class PairRateCacheScalar:

@@ -20,7 +20,6 @@ from hmts.capacity import (
     ModCod,
     ThresholdTable,
     best_entry,
-    best_single_rate,
     default_table,
     estimate_hierarchical_thresholds,
     estimate_threshold,
@@ -34,15 +33,15 @@ from hmts.capacity import (
 from hmts.constellation import (
     Apsk16Params,
     Constellation,
-    Qam16Params,
     build_16apsk,
-    build_16qam,
-    build_hierarchical_8psk,
     build_uniform,
 )
 from hmts.errors import ParameterError, TableError, UnreachableThresholdError
+from hmts.sim import PairRateCache
 
 from oracles import (
+    hierarchical_8psk,
+    hierarchical_16qam,
     invert_mi_grid,
     qpsk_mi,
     stream_mi_quadrature,
@@ -58,8 +57,8 @@ KERNEL_CASES = (
         for c in (
             *(hierarchical_constellation(hierarchical_modulation_id(r))
               for r in ADOPTED_APSK_GEOMETRY),
-            build_hierarchical_8psk(18.0),
-            build_16qam(Qam16Params(alpha=0.5)),
+            hierarchical_8psk(18.0),
+            hierarchical_16qam(alpha=0.5),
         )
         for stream in ("single", "HE", "LE")
     ]
@@ -99,7 +98,7 @@ class TestStreamMutualInformation:
     def test_superposed_qpsk_he_stream(self):
         # equal-energy superposition: the HE stream behaves like a QPSK
         # whose SNR treats the LE component as Gaussian-like interference
-        c = build_16qam(Qam16Params(alpha=0.0))
+        c = hierarchical_16qam(alpha=0.0)
         for snr_db in (-3.0, 0.0, 3.0):
             mc = stream_mutual_information(c, "HE", snr_db, quality=60000, seed=1)
             exact = stream_mi_quadrature(c, "HE", snr_db)
@@ -127,7 +126,7 @@ class TestStreamMutualInformation:
             assert he + le == pytest.approx(total, abs=0.03)
 
     def test_hierarchical_8psk_chain_rule(self):
-        c = build_hierarchical_8psk(18.0)
+        c = hierarchical_8psk(18.0)
         he = stream_mutual_information(c, "HE", 8.0, quality=60000, seed=6)
         le = stream_mutual_information(c, "LE", 8.0, quality=60000, seed=7)
         total = stream_mutual_information(c, "single", 8.0, quality=60000, seed=8)
@@ -476,16 +475,17 @@ class TestThresholdTable:
 
 class TestBestSingleRate:
     def test_reference_operating_rates(self, table):
-        assert best_single_rate(table, 7.0) == pytest.approx(2.0)
-        assert best_single_rate(table, 10.0) == pytest.approx(3.0)
+        best_single_rate = PairRateCache(table).best_single_rate
+        assert best_single_rate(7.0) == pytest.approx(2.0)
+        assert best_single_rate(10.0) == pytest.approx(3.0)
 
     def test_below_all_thresholds(self, table):
-        assert best_single_rate(table, -5.0) == 0.0
+        assert PairRateCache(table).best_single_rate(-5.0) == 0.0
 
     def test_nondecreasing_in_snr(self, table):
         grid = np.arange(-5.0, 16.0, 0.25)
-        values = [best_single_rate(table, s) for s in grid]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+        values = PairRateCache(table).best_single_rate(grid)
+        assert (np.diff(values) >= 0).all()
 
     def test_best_entry_first_wins_a_tie(self):
         # 3 * 8/9 and 4 * 2/3 round to the same float

@@ -11,12 +11,10 @@ from hmts.channel import (
     BeamConfig,
     Population,
     WeatherCdf,
-    attenuation_at_disk_fraction,
     beam_edge_angle,
     bessel_j1,
     default_weather_cdf,
     generate_population,
-    location_attenuation_cdf,
     pattern_attenuation,
     read_population,
     sample_weather,
@@ -24,7 +22,7 @@ from hmts.channel import (
 )
 from hmts.errors import ParameterError
 
-from oracles import bessel_j1_simpson
+from oracles import bessel_j1_simpson, location_attenuation_cdf
 
 
 @pytest.fixture(scope="module")
@@ -91,38 +89,6 @@ class TestPatternAttenuation:
         assert channel._edge_angle.cache_info().misses == 2
 
 
-class TestLocationCdf:
-    def test_bounds(self, beam):
-        assert location_attenuation_cdf(0.0, beam) == 0.0
-        assert location_attenuation_cdf(4.0, beam) == pytest.approx(1.0, abs=1e-9)
-
-    def test_midpoint_value(self, beam):
-        mid = location_attenuation_cdf(2.0, beam)
-        assert 0.25 < mid < 0.75
-        assert mid == pytest.approx(0.5207, abs=1e-3)  # pinned by inversion
-
-    def test_monte_carlo_disk_oracle(self, beam):
-        rng = np.random.default_rng(19)
-        frac = np.sqrt(rng.random(10**6))
-        att = attenuation_at_disk_fraction(frac, beam)
-        for a in (1.0, 2.0, 3.0):
-            empirical = float(np.mean(att <= a))
-            assert location_attenuation_cdf(a, beam) == pytest.approx(
-                empirical, abs=0.005
-            )
-
-    def test_nondecreasing(self, beam):
-        grid = np.linspace(0.0, 4.0, 41)
-        vals = [location_attenuation_cdf(a, beam) for a in grid]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_out_of_range(self, beam):
-        with pytest.raises(ParameterError):
-            location_attenuation_cdf(-0.1, beam)
-        with pytest.raises(ParameterError):
-            location_attenuation_cdf(4.5, beam)
-
-
 class TestWeatherCdf:
     def test_degenerate_always_zero(self):
         cdf = WeatherCdf(points=((0.0, 1.0),))
@@ -140,20 +106,23 @@ class TestWeatherCdf:
         b = sample_weather(cdf, 42, size=100)
         assert np.array_equal(a, b)
 
-    def test_validation(self):
+    def test_validation(self, tmp_path):
         with pytest.raises(ParameterError):
             WeatherCdf(points=((0.0, 0.5), (1.0, 0.4), (2.0, 1.0)))
         with pytest.raises(ParameterError):
             WeatherCdf(points=((1.0, 0.5), (0.5, 1.0)))
         with pytest.raises(ParameterError):
             WeatherCdf(points=((0.0, 0.5),))  # never reaches 1
-
-    def test_csv_round_trip(self, tmp_path):
-        cdf = default_weather_cdf()
-        path = tmp_path / "weather.csv"
-        cdf.to_csv(path)
-        again = WeatherCdf.from_csv(path)
-        assert again.points == cdf.points
+        # NaN and inf pass the order checks; only a finiteness check stops them
+        nan, inf = float("nan"), float("inf")
+        for points in (((0.0, 0.5), (nan, 0.9), (20.0, 1.0)), ((0.0, 0.5), (inf, 1.0))):
+            with pytest.raises(ParameterError, match="must be finite"):
+                WeatherCdf(points=points)
+        for rows in ("nan,0.9\n20,1.0", "inf,1.0"):
+            path = tmp_path / "weather.csv"
+            path.write_text(f"attenuation_db,cumulative_probability\n0,0.5\n{rows}\n")
+            with pytest.raises(ParameterError, match="line 3: attenuation_db must be finite"):
+                WeatherCdf.from_csv(path)
 
     def test_default_is_mostly_clear_sky(self):
         cdf = default_weather_cdf()

@@ -617,8 +617,12 @@ class TestSettingsPrecedence:
     (["pairing", "--strategy", "C", "--seed", "-1", "--snrs", "1,2,3,4"], None),
     (["rates", "pair"], {"pair": {"snr1": "7", "snr2": 10}}),
     (["rates", "grid"], {"grid": {"step": float("nan")}}),
+    (["pairing", "--strategy", "C", "--snrs", "1,2,3,4"], {"seed": True}),
+    (["rates", "pair"], {"pair": {"snr1": True, "snr2": 10}}),
+    (["rates", "grid"], {"grid": {"snr_max": 10**400}}),
 ], ids=["grid-min-nan", "grid-step-nan", "pair-snr1-nan", "pair-snr1-inf", "grid-min-above-max",
-        "rates-abc", "rates-1/0", "seed-negative", "config-snr1-string", "config-step-nan"])
+        "rates-abc", "rates-1/0", "seed-negative", "config-snr1-string", "config-step-nan",
+        "config-seed-true", "config-snr1-true", "config-max-huge-int"])
 def test_bad_numeric_input_exit_2(argv, config, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -649,6 +653,19 @@ def test_unusable_path_exit_2(argv, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("error:") == 1
     assert not (tmp_path / "out").exists()
     assert (tmp_path / "a_file").read_text() == ""
+
+
+def test_nonfinite_weather_exit_2(tmp_path, capsys):
+    weather = tmp_path / "weather.csv"
+    weather.write_text("attenuation_db,cumulative_probability\n0,0.5\ninf,1.0\n")
+    out = tmp_path / "out"
+    cfg = write_tiny_config(tmp_path / "cfg.json")
+    code, _, err = run_cli(
+        ["--out-dir", str(out), "--config", str(cfg), "simulate", "--weather", str(weather)], capsys
+    )
+    assert code == 2
+    assert err == f"error: {weather}: line 3: attenuation_db must be finite, got inf\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["out_dir", "thresholds_path", "weather_path"])

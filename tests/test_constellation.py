@@ -7,9 +7,7 @@ import pytest
 
 from hmts.constellation import (
     Apsk16Params,
-    Qam16Params,
     build_16apsk,
-    build_16qam,
     build_uniform,
     energy_fraction,
     gamma_limit,
@@ -200,53 +198,6 @@ class TestBuild16Apsk:
             )
 
 
-class TestBuild16Qam:
-    @pytest.mark.parametrize(
-        "alpha,expected",
-        [(2.0, 0.90), (4.0, 25.0 / 26.0), (0.0, 0.50), (1.0, 0.80)],
-    )
-    def test_he_energy_fraction(self, alpha, expected):
-        params = Qam16Params(alpha)
-        assert params.he_energy_fraction == pytest.approx(expected, abs=1e-9)
-        c = build_16qam(params)
-        bary = np.mean(quadrant_symbols(c, "00"))
-        assert abs(bary) ** 2 == pytest.approx(expected, abs=1e-12)
-
-    def test_alpha_one_is_uniform(self):
-        c = build_16qam(Qam16Params(1.0))
-        coords = sorted(set(round(s.real, 9) for s in c.symbols))
-        assert len(coords) == 4
-        d = coords[1] - coords[0]
-        assert np.allclose(np.diff(coords), d)
-
-    def test_alpha_zero_collapses(self):
-        c = build_16qam(Qam16Params(0.0))
-        distinct = {(round(s.real, 9), round(s.imag, 9)) for s in c.symbols}
-        assert len(distinct) == 9  # two identical QPSKs superposed
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ParameterError):
-            Qam16Params(-0.5)
-
-
-class TestBuildHierarchical8Psk:
-    def test_geometry_and_split(self):
-        from hmts.constellation import build_hierarchical_8psk
-
-        c = build_hierarchical_8psk(15.0)
-        assert len(c.symbols) == 8
-        assert np.allclose(np.abs(c.symbols), 1.0)
-        assert c.he_bits == (0, 1) and c.le_bits == (2,)
-        assert c.stream_bits("LE") == 1
-
-    def test_angle_required_in_range(self):
-        from hmts.constellation import build_hierarchical_8psk
-
-        for bad in (0.0, 45.0, -3.0):
-            with pytest.raises(ParameterError):
-                build_hierarchical_8psk(bad)
-
-
 class TestBuildUniform:
     def test_qpsk(self):
         c = build_uniform("QPSK")
@@ -277,8 +228,8 @@ class TestBuildUniform:
 class TestLabels:
     @pytest.mark.parametrize(
         "c",
-        [build_16apsk(Apsk16Params(2.3, 28.4)), build_16qam(Qam16Params(2.0))],
-        ids=["apsk", "qam"],
+        [build_16apsk(Apsk16Params(2.3, 28.4))],
+        ids=["apsk"],
     )
     def test_quadrant_gray_and_stream_split(self, c):
         assert c.he_bits == (0, 1) and c.le_bits == (2, 3)

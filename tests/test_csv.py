@@ -32,9 +32,6 @@ WRITERS = {
         ]),
         path,
     ),
-    "WeatherCdf.to_csv": lambda path: WeatherCdf.to_csv(
-        SimpleNamespace(points=[(0.0, 0.5), (BAD, 1.0)]), path
-    ),
     "write_population": lambda path: write_population(
         Population(np.array([5.0, BAD], dtype=object), np.array([1, 1]), np.array([False, False])),
         path,

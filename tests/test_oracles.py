@@ -1,16 +1,19 @@
 """Oracles against their slower references: the numpy grid search
 against its point-by-point form, the matching dynamic programme against
-enumeration."""
+enumeration, and the location CDF against its bounds, a pinned value
+and a Monte-Carlo draw of the package's disk sampler."""
 
 import numpy as np
 import pytest
 
+from hmts.channel import BeamConfig, attenuation_at_disk_fraction
 from hmts.errors import ParameterError
 
 from oracles import (
     _ts_common_rate_search_scalar,
     brute_force_matching,
     brute_force_matching_enumerated,
+    location_attenuation_cdf,
     ts_common_rate_search,
 )
 
@@ -54,3 +57,40 @@ class TestBruteForceMatching:
     def test_size_cap(self):
         with pytest.raises(ParameterError):
             brute_force_matching(list(range(14)), "max")
+
+
+@pytest.fixture(scope="module")
+def beam():
+    return BeamConfig(snr_max_db=10.0)
+
+
+class TestLocationCdf:
+    def test_bounds(self, beam):
+        assert location_attenuation_cdf(0.0, beam) == 0.0
+        assert location_attenuation_cdf(4.0, beam) == pytest.approx(1.0, abs=1e-9)
+
+    def test_midpoint_value(self, beam):
+        mid = location_attenuation_cdf(2.0, beam)
+        assert 0.25 < mid < 0.75
+        assert mid == pytest.approx(0.5207, abs=1e-3)  # pinned by inversion
+
+    def test_monte_carlo_disk_oracle(self, beam):
+        rng = np.random.default_rng(19)
+        frac = np.sqrt(rng.random(10**6))
+        att = attenuation_at_disk_fraction(frac, beam)
+        for a in (1.0, 2.0, 3.0):
+            empirical = float(np.mean(att <= a))
+            assert location_attenuation_cdf(a, beam) == pytest.approx(
+                empirical, abs=0.005
+            )
+
+    def test_nondecreasing(self, beam):
+        grid = np.linspace(0.0, 4.0, 41)
+        vals = [location_attenuation_cdf(a, beam) for a in grid]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_out_of_range(self, beam):
+        with pytest.raises(ParameterError):
+            location_attenuation_cdf(-0.1, beam)
+        with pytest.raises(ParameterError):
+            location_attenuation_cdf(4.5, beam)

@@ -23,7 +23,12 @@ from hmts.sim import (
     summarize,
 )
 
-from oracles import PairRateCacheScalar, max_min_rate_exhaustive, run_trial_scalar
+from oracles import (
+    PairRateCacheScalar,
+    best_single_rate,
+    max_min_rate_exhaustive,
+    run_trial_scalar,
+)
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +83,6 @@ class TestPairRateCache:
         assert cache.pair_rate(7.15, 7.1, 2, 1) != cache.pair_rate(7.1, 7.15, 2, 1)
 
     def test_single_rate_matches_table(self, table, cache):
-        from hmts.capacity import best_single_rate
-
         for snr in np.linspace(-4.0, 16.0, 100):
             assert cache.best_single_rate(snr) == best_single_rate(table, snr)
 
@@ -329,6 +332,11 @@ class TestRunScenario:
     def test_invalid_sweeps(self, key, value):
         with pytest.raises(ParameterError, match=key):
             small_config(**{key: value})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_invalid_seed(self, seed):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            small_config(seed=seed)
 
     def test_sweeps_accept_numpy_and_int_values(self):
         cfg = small_config(snr_max_grid=[np.float64(8.0), 10], rho_set=(np.float32(0.8),))
