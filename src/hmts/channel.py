@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
-GEO_ALTITUDE_M = 35_786_000.0
 PROFESSIONAL_OFFSET_DB = 5.0
 
 _WEATHER_HEADER = ("attenuation_db", "cumulative_probability")
@@ -96,24 +95,24 @@ def bessel_j1(x):
 
 @dataclass(frozen=True)
 class BeamConfig:
-    """Spot-beam parameters; the beam edge is where the pattern is
-    ``edge_attenuation_db`` below boresight."""
+    """The spot-beam antenna: a parabolic dish whose beam edge is where
+    the pattern is ``edge_attenuation_db`` below boresight."""
 
-    snr_max_db: float
     antenna_diameter_m: float = 1.5
     frequency_hz: float = 20e9
     edge_attenuation_db: float = 4.0
-    satellite_altitude_m: float = GEO_ALTITUDE_M
 
     def __post_init__(self):
-        if self.antenna_diameter_m <= 0:
-            raise ParameterError("antenna diameter must be > 0")
-        if self.frequency_hz <= 0:
-            raise ParameterError("frequency must be > 0")
-        if self.edge_attenuation_db <= 0:
-            raise ParameterError("edge attenuation must be > 0")
-        if self.satellite_altitude_m <= 0:
-            raise ParameterError("satellite altitude must be > 0")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            try:
+                # a bool is an int to Python; math.isfinite raises on a
+                # non-number and on an int beyond float range
+                ok = not isinstance(value, bool) and math.isfinite(value) and value > 0
+            except (TypeError, OverflowError):
+                ok = False
+            if not ok:
+                raise ParameterError(f"{f.name} must be a finite number > 0, got {value!r}")
 
     @property
     def wavelength_m(self) -> float:
@@ -148,16 +147,10 @@ def pattern_attenuation(off_axis_angle_rad, cfg: BeamConfig):
     return float(att[0]) if scalar else att
 
 
+@functools.lru_cache(maxsize=None)
 def beam_edge_angle(cfg: BeamConfig) -> float:
     """Off-axis angle (rad) at which the pattern attenuation equals the
-    configured edge attenuation."""
-    # the pattern does not depend on the beam-center SNR: one bisection
-    # serves every snr_max of a sweep
-    return _edge_angle(dataclasses.replace(cfg, snr_max_db=0.0))
-
-
-@functools.lru_cache(maxsize=None)
-def _edge_angle(cfg: BeamConfig) -> float:
+    configured edge attenuation; bisected once per antenna."""
     lo, hi = 0.0, cfg.first_null_angle_rad * (1.0 - 1e-12)
     target = cfg.edge_attenuation_db
     if pattern_attenuation(hi, cfg) < target:
@@ -173,7 +166,8 @@ def _edge_angle(cfg: BeamConfig) -> float:
 
 def attenuation_at_disk_fraction(radius_fraction, cfg: BeamConfig):
     """Location attenuation at a given fraction of the beam-edge ground
-    radius, with the flat-Earth radius altitude * tan(angle)."""
+    radius.  The flat-Earth ground radius is altitude * tan(angle), so
+    the altitude cancels out of the fraction."""
     frac = np.asarray(radius_fraction, dtype=float)
     if np.any(frac < 0) or np.any(frac > 1):
         raise ParameterError("radius fraction must lie in [0, 1]")
@@ -254,13 +248,15 @@ class Population(NamedTuple):
 
 def generate_population(
     n: int,
-    cfg: BeamConfig,
+    snr_max_db: float,
+    beam: BeamConfig,
     cdf: WeatherCdf,
     professional_share: float = 0.0,
     professional_weight: int = 1,
     seed=0,
 ) -> Population:
-    """Draw a terminal population serving ``n`` receivers.
+    """Draw a terminal population serving ``n`` receivers under the
+    antenna ``beam`` with beam-center SNR ``snr_max_db``.
 
     Roughly ``professional_share * n`` receivers sit behind professional
     terminals (``professional_weight`` receivers each, +5 dB); the rest
@@ -285,9 +281,9 @@ def generate_population(
             prof_terms -= 1
     total = personal + prof_terms
     rng = np.random.default_rng(seed)
-    loc = attenuation_at_disk_fraction(np.sqrt(rng.random(total)), cfg)
+    loc = attenuation_at_disk_fraction(np.sqrt(rng.random(total)), beam)
     weather = sample_weather(cdf, rng, total)
-    snr = cfg.snr_max_db - loc - weather
+    snr = snr_max_db - loc - weather
     professional = np.arange(total) < prof_terms
     snr[professional] += PROFESSIONAL_OFFSET_DB
     return Population(snr, np.where(professional, professional_weight, 1), professional)

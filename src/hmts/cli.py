@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from fractions import Fraction
 from importlib import resources
 
@@ -25,55 +25,6 @@ from .constellation import Apsk16Params, build_16apsk, solution_set
 from .errors import DegenerateRateError, ParameterError, TableError
 
 
-class ConfigError(ParameterError):
-    """A run configuration file is missing, malformed or inconsistent."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated contents of a --config JSON file."""
-
-    seed: int | None = None
-    out_dir: str | None = None
-    thresholds_path: str | None = None
-    weather_path: str | None = None
-    mode: str = "homogeneous"
-    scenario: dict = field(default_factory=dict)
-    beam: dict = field(default_factory=dict)
-    pair: dict = field(default_factory=dict)
-    grid: dict = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path_or_name: str) -> "RunConfig":
-        path = _resolve_config_path(path_or_name)
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: top level must be an object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-        cfg = cls(**raw)
-        for section, keys in (
-            ("scenario", {f.name for f in fields(sim.ScenarioConfig)} - {"seed"}),
-            ("beam", {f.name for f in fields(channel.BeamConfig)} - {"snr_max_db"}),
-            ("pair", {"snr1", "snr2"}),
-            ("grid", {"snr_min", "snr_max", "step"}),
-        ):
-            bad = set(getattr(cfg, section)) - keys
-            if bad:
-                raise ConfigError(f"{path}: unknown {section} keys {sorted(bad)}")
-        if cfg.mode not in ("homogeneous", "heterogeneous"):
-            raise ConfigError(f"{path}: unknown mode {cfg.mode!r}")
-        return cfg
-
-
 def _resolve_config_path(path_or_name: str) -> str:
     if os.path.exists(path_or_name):
         return path_or_name
@@ -82,7 +33,7 @@ def _resolve_config_path(path_or_name: str) -> str:
     if ref.is_file():
         with resources.as_file(ref) as p:
             return str(p)
-    raise ConfigError(f"no such config file or preset: {path_or_name}")
+    raise ParameterError(f"no such config file or preset: {path_or_name}")
 
 
 # setting -> (config section, config key, default), "" being the top
@@ -93,6 +44,7 @@ _SETTINGS = {
     "out_dir": ("", "out_dir", "."),
     "table": ("", "thresholds_path", None),
     "weather": ("", "weather_path", None),
+    "mode": ("", "mode", "homogeneous"),
     "snr1": ("pair", "snr1", None),
     "snr2": ("pair", "snr2", None),
     "min": ("grid", "snr_min", 4.0),
@@ -101,15 +53,50 @@ _SETTINGS = {
 }
 
 
+def load_config(path_or_name: str) -> dict:
+    """The --config JSON file, every section an object with known keys:
+    those of ``_SETTINGS`` and, for the scenario and beam sections, the
+    fields of ``sim.ScenarioConfig`` (the seed is top-level) and
+    ``channel.BeamConfig``."""
+    path = _resolve_config_path(path_or_name)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read config {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"{path}: invalid JSON: {exc}") from None
+    schema = {
+        "": set(),  # the top level, checked first
+        "scenario": {f.name for f in fields(sim.ScenarioConfig)} - {"seed"},
+        "beam": {f.name for f in fields(channel.BeamConfig)},
+    }
+    for section, key, _ in _SETTINGS.values():
+        schema.setdefault(section, set()).add(key)
+    schema[""] |= schema.keys() - {""}
+    for section, keys in schema.items():
+        body = cfg.get(section, {}) if section else cfg
+        name = section or "top level"
+        if not isinstance(body, dict):
+            raise ParameterError(f"{path}: {name} must be a JSON object, got {body!r}")
+        unknown = set(body) - keys
+        if unknown:
+            raise ParameterError(f"{path}: unknown {name} keys {sorted(unknown)}")
+    return cfg
+
+
 def resolve_settings(args) -> None:
     """Set every setting on ``args``: the flag given on the command line,
-    else the --config file, else the default; check the numbers and load
-    the table and weather CDF, so the subcommands read only ``args``."""
-    cfg = RunConfig.load(args.config) if "config" in args else RunConfig()
+    else the --config file, else the default; check the numbers, build
+    the scenario and beam and load the table and weather CDF, so the
+    subcommands read only ``args``."""
+    cfg = load_config(args.config) if "config" in args else {}
     for name, (section, key, default) in _SETTINGS.items():
         if name not in args:
-            value = getattr(cfg, section).get(key) if section else getattr(cfg, key)
+            value = (cfg.get(section, {}) if section else cfg).get(key)
             setattr(args, name, default if value is None else value)
+    if args.mode not in ("homogeneous", "heterogeneous"):
+        raise ParameterError(f"unknown mode {args.mode!r}")
     for name in ("out_dir", "table", "weather"):
         value = getattr(args, name)
         if value is not None and not isinstance(value, str):
@@ -131,7 +118,10 @@ def resolve_settings(args) -> None:
         raise ParameterError(f"step must be > 0, got {args.step}")
     if args.min > args.max:
         raise ParameterError(f"grid min {args.min} exceeds grid max {args.max}")
-    args.mode, args.scenario, args.beam = cfg.mode, cfg.scenario, cfg.beam
+    scenario = {k: tuple(v) if isinstance(v, list) else v
+                for k, v in cfg.get("scenario", {}).items()}
+    args.scenario = sim.ScenarioConfig(**scenario, seed=args.seed)
+    args.beam = channel.BeamConfig(**cfg.get("beam", {}))
     args.table = (capacity.load_thresholds(args.table) if args.table
                   else capacity.default_table())
     args.weather = (channel.WeatherCdf.from_csv(args.weather) if args.weather
@@ -261,13 +251,10 @@ def cmd_pairing(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in args.scenario.items()}
-    scenario = sim.ScenarioConfig(**{**kwargs, "seed": args.seed})
-    beam = channel.BeamConfig(snr_max_db=0.0, **args.beam) if args.beam else None
     population_dir = _out_path(args, "populations") if args.dump_populations else None
     report = sim.run_scenario(
-        scenario, mode=args.mode, table=args.table, weather=args.weather,
-        beam_template=beam, population_dir=population_dir,
+        args.scenario, mode=args.mode, table=args.table, weather=args.weather,
+        beam=args.beam, population_dir=population_dir,
     )
     report_path = _out_path(args, "report.csv")
     summary_path = _out_path(args, "summary.csv")

@@ -12,7 +12,6 @@ schemes and counted.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import math
 import os
@@ -61,9 +60,12 @@ class ScenarioConfig:
                 raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.n_receivers % 2:
             raise ParameterError("n_receivers must be even and >= 2")
-        unknown = [s for s in self.strategies if s not in STRATEGIES]
-        if unknown:
-            raise ParameterError(f"unknown strategies {unknown}; expected subset of A-D")
+        strategies = self.strategies
+        if (not isinstance(strategies, (tuple, list)) or not strategies
+                or not all(isinstance(s, str) and s in STRATEGIES for s in strategies)
+                or len(set(strategies)) < len(strategies)):
+            raise ParameterError(f"strategies must be a nonempty list of distinct names "
+                                 f"from A-D, got {strategies!r}")
         # |snr_max| <= 4000 dB keeps _trial_seed's word for it in [0, 2**32)
         bounds = dict(snr_max_grid=(-4000, 4000), professional_share_grid=(0, 1), rho_set=(0, 1))
         for name, (low, high) in bounds.items():
@@ -72,8 +74,8 @@ class ScenarioConfig:
             if not isinstance(values, (tuple, list)) or not values or not all(
                 isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
                 and low <= v <= high for v in values
-            ):
-                raise ParameterError(f"{name} must be a nonempty list of numbers in "
+            ) or len(set(values)) < len(values):
+                raise ParameterError(f"{name} must be a nonempty list of distinct numbers in "
                                      f"[{low}, {high}], got {values!r}")
 
 
@@ -377,11 +379,12 @@ def run_scenario(
     mode: str = "homogeneous",
     table: ThresholdTable | None = None,
     weather: WeatherCdf | None = None,
-    beam_template: BeamConfig | None = None,
+    beam: BeamConfig | None = None,
     population_dir: str | os.PathLike | None = None,
 ) -> GainReport:
     """Sweep snr_max (and professional share for the heterogeneous mode)
-    over seeded trials; deterministic for a fixed config."""
+    over seeded trials under one antenna, ``BeamConfig()`` by default;
+    deterministic for a fixed config."""
     if mode not in ("homogeneous", "heterogeneous"):
         raise ParameterError(f"unknown mode {mode!r}")
     if table is None:
@@ -394,19 +397,17 @@ def run_scenario(
     cache = PairRateCache(kept)
     if weather is None:
         weather = default_weather_cdf()
+    if beam is None:
+        beam = BeamConfig()
     shares = (0.0,) if mode == "homogeneous" else tuple(cfg.professional_share_grid)
     records = []
     for snr_max in cfg.snr_max_grid:
-        if beam_template is None:
-            beam = BeamConfig(snr_max_db=snr_max)
-        else:
-            beam = dataclasses.replace(beam_template, snr_max_db=snr_max)
         for share in shares:
             for trial in range(cfg.n_trials):
                 ss = _trial_seed(cfg.seed, snr_max, share, trial)
                 pop_seed, strat_seed = ss.spawn(2)
                 population = generate_population(
-                    cfg.n_receivers, beam, weather,
+                    cfg.n_receivers, snr_max, beam, weather,
                     professional_share=share,
                     professional_weight=cfg.professional_weight,
                     seed=pop_seed,

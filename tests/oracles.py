@@ -358,8 +358,9 @@ def bessel_j1_simpson(x, n=40001):
 
 def location_attenuation_cdf(attenuation_db: float, cfg: BeamConfig) -> float:
     """P(location attenuation <= a) for a uniformly populated beam disk:
-    the squared ratio of the flat-Earth ground radii altitude * tan(angle)
-    at which the pattern loses ``a`` and the edge attenuation.
+    the squared ratio of the flat-Earth ground radii at which the pattern
+    loses ``a`` and the edge attenuation.  A radius is altitude *
+    tan(angle), so the ratio is that of the tangents.
 
     The pattern 2*J1(u)/u, u = pi * D * sin(angle) / wavelength, is
     bisected in u below the first null of J1, with ``bessel_j1_simpson``

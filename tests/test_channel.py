@@ -1,11 +1,11 @@
 """Spot-beam geometry, weather sampling and population tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hmts import channel
 from hmts.channel import (
     J1_FIRST_ZERO,
     BeamConfig,
@@ -21,13 +21,17 @@ from hmts.channel import (
     write_population,
 )
 from hmts.errors import ParameterError
+from hmts.sim import ScenarioConfig, run_scenario
 
 from oracles import bessel_j1_simpson, location_attenuation_cdf
 
 
+SNR_MAX = 10.0  # the beam-center SNR of the populations drawn here
+
+
 @pytest.fixture(scope="module")
 def beam():
-    return BeamConfig(snr_max_db=10.0)
+    return BeamConfig()
 
 
 class TestBesselJ1:
@@ -77,16 +81,35 @@ class TestPatternAttenuation:
         assert math.degrees(beam_edge_angle(beam)) == pytest.approx(0.336, abs=0.01)
 
     def test_edge_angle_bisected_once_per_geometry(self):
-        # the angle depends on the dish, frequency, edge and altitude, not on
-        # snr_max: a sweep over snr_max reuses one bisection, and its angle
-        # is the one each BeamConfig got when it was its own cache key
-        channel._edge_angle.cache_clear()
-        for snr_max in (7.0, 10.0, 13.0, 16.0, 18.0, -3.5):
-            assert beam_edge_angle(BeamConfig(snr_max_db=snr_max)) == 0.005866821825046022
-        assert channel._edge_angle.cache_info().misses == 1
-        other = BeamConfig(snr_max_db=3.0, antenna_diameter_m=2.4, edge_attenuation_db=3.0)
+        # the angle depends on the antenna only: a sweep over five snr_max
+        # values bisects once, and the angle keeps its pinned value
+        beam_edge_angle.cache_clear()
+        cfg = ScenarioConfig(n_receivers=20, n_trials=1, strategies=("A",),
+                             snr_max_grid=(7.0, 10.0, 13.0, 16.0, 18.0))
+        run_scenario(cfg)
+        assert beam_edge_angle.cache_info()[:2] == (4, 1)  # (hits, misses)
+        assert beam_edge_angle(BeamConfig()) == 0.005866821825046022
+        other = BeamConfig(antenna_diameter_m=2.4, edge_attenuation_db=3.0)
         assert beam_edge_angle(other) == 0.003208220605844872
-        assert channel._edge_angle.cache_info().misses == 2
+        assert beam_edge_angle.cache_info().misses == 2
+
+
+class TestBeamConfig:
+    def test_the_antenna_only(self):
+        assert [f.name for f in dataclasses.fields(BeamConfig)] == [
+            "antenna_diameter_m", "frequency_hz", "edge_attenuation_db"]
+        beam = BeamConfig(antenna_diameter_m=2, frequency_hz=np.float64(12e9),
+                          edge_attenuation_db=np.int64(3))
+        assert beam == BeamConfig(2.0, 12e9, 3.0)
+        with pytest.raises(TypeError):
+            BeamConfig(satellite_altitude_m=35_786_000.0)  # the altitude cancels out
+
+    @pytest.mark.parametrize("field", ["antenna_diameter_m", "frequency_hz", "edge_attenuation_db"])
+    def test_rejects_all_but_finite_positive_numbers(self, field):
+        nan, inf = float("nan"), float("inf")
+        for value in (0, -1.5, nan, inf, -inf, True, False, "x", "1.5", None, [1.5], 10**400):
+            with pytest.raises(ParameterError, match=f"^{field} must be a finite number > 0"):
+                BeamConfig(**{field: value})
 
 
 class TestWeatherCdf:
@@ -134,14 +157,14 @@ class TestWeatherCdf:
 
 class TestGeneratePopulation:
     def test_all_personal_below_snr_max(self, beam):
-        pop = generate_population(200, beam, default_weather_cdf(), seed=1)
+        pop = generate_population(200, SNR_MAX, beam, default_weather_cdf(), seed=1)
         assert not pop.professional.any()
         assert (pop.weight == 1).all()
-        assert (pop.snr_db <= beam.snr_max_db).all()
+        assert (pop.snr_db <= SNR_MAX).all()
 
     def test_arrays(self, beam):
         pop = generate_population(
-            60, beam, default_weather_cdf(), professional_share=0.5,
+            60, SNR_MAX, beam, default_weather_cdf(), professional_share=0.5,
             professional_weight=3, seed=4,
         )
         assert isinstance(pop, Population)
@@ -157,16 +180,16 @@ class TestGeneratePopulation:
     def test_snr_bounds(self, beam):
         cdf = default_weather_cdf()
         pop = generate_population(
-            500, beam, cdf, professional_share=0.3, professional_weight=1, seed=2
+            500, SNR_MAX, beam, cdf, professional_share=0.3, professional_weight=1, seed=2
         )
-        lo = beam.snr_max_db - 4.0 - cdf.max_attenuation_db
-        hi = beam.snr_max_db + 5.0
+        lo = SNR_MAX - 4.0 - cdf.max_attenuation_db
+        hi = SNR_MAX + 5.0
         assert ((lo <= pop.snr_db) & (pop.snr_db <= hi)).all()
 
     def test_clear_sky_matches_location_cdf(self, beam):
         clear = WeatherCdf(points=((0.0, 1.0),))
-        pop = generate_population(20000, beam, clear, seed=3)
-        att = np.sort(beam.snr_max_db - pop.snr_db)
+        pop = generate_population(20000, SNR_MAX, beam, clear, seed=3)
+        att = np.sort(SNR_MAX - pop.snr_db)
         grid = np.linspace(0.01, 3.99, 80)
         ks = max(
             abs(float(np.mean(att <= a)) - location_attenuation_cdf(a, beam))
@@ -176,9 +199,9 @@ class TestGeneratePopulation:
 
     def test_full_professional_shift(self, beam):
         cdf = default_weather_cdf()
-        base = generate_population(100, beam, cdf, professional_share=0.0, seed=7)
+        base = generate_population(100, SNR_MAX, beam, cdf, professional_share=0.0, seed=7)
         prof = generate_population(
-            100, beam, cdf, professional_share=1.0, professional_weight=1, seed=7
+            100, SNR_MAX, beam, cdf, professional_share=1.0, professional_weight=1, seed=7
         )
         np.testing.assert_allclose(prof.snr_db, base.snr_db + 5.0, rtol=0, atol=1e-12)
         assert prof.professional.all() and (prof.weight == 1).all()
@@ -187,7 +210,7 @@ class TestGeneratePopulation:
         cdf = default_weather_cdf()
         for n, share, w in [(500, 0.5, 4), (500, 0.3, 3), (100, 0.9, 7), (50, 0.2, 5)]:
             pop = generate_population(
-                n, beam, cdf, professional_share=share, professional_weight=w, seed=11
+                n, SNR_MAX, beam, cdf, professional_share=share, professional_weight=w, seed=11
             )
             assert len(pop.snr_db) % 2 == 0
             served = int(pop.weight.sum())
@@ -198,15 +221,15 @@ class TestGeneratePopulation:
     def test_validation(self, beam):
         cdf = default_weather_cdf()
         with pytest.raises(ParameterError):
-            generate_population(3, beam, cdf)
+            generate_population(3, SNR_MAX, beam, cdf)
         with pytest.raises(ParameterError):
-            generate_population(10, beam, cdf, professional_share=1.2)
+            generate_population(10, SNR_MAX, beam, cdf, professional_share=1.2)
 
 
 class TestPopulationIo:
     def test_round_trip(self, tmp_path, beam):
         pop = generate_population(
-            40, beam, default_weather_cdf(), professional_share=0.5,
+            40, SNR_MAX, beam, default_weather_cdf(), professional_share=0.5,
             professional_weight=3, seed=13,
         )
         path = tmp_path / "population.csv"

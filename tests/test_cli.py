@@ -1,15 +1,19 @@
 """End-to-end CLI tests: subcommands, exit codes, determinism."""
 
+import argparse
 import csv
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from hmts.capacity import default_table
-from hmts.cli import main
+from hmts.channel import BeamConfig
+from hmts.cli import main, resolve_settings
 from hmts.errors import DegenerateRateError
 from hmts.rates import pair_gain
+from hmts.sim import ScenarioConfig
 
 
 def run_cli(args, capsys):
@@ -437,6 +441,10 @@ class TestSimulateCommand:
         ("rho_set", ["0.8"]),
         ("rho_set", []),
         ("rho_set", 0.8),
+        ("snr_max_grid", [10, 10.0]),
+        ("strategies", "AB"),
+        ("strategies", []),
+        ("strategies", ["A", "A"]),
     ])
     def test_bad_sweeps_exit_2(self, key, value, tmp_path, capsys):
         scenario = {"n_receivers": 20, "n_trials": 1, "snr_max_grid": [10.0],
@@ -604,6 +612,51 @@ class TestSettingsPrecedence:
         assert code == 2
         assert "no_such_preset" in err
         assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"scenario": 5}, "scenario must be a JSON object, got 5"),
+    ({"scenario": None}, "scenario must be a JSON object, got None"),
+    ({"beam": "abc"}, "beam must be a JSON object, got 'abc'"),
+    ({"pair": [7, 10]}, "pair must be a JSON object"),
+    ({"grid": None}, "grid must be a JSON object"),
+    ([{"mode": "homogeneous"}], "top level must be a JSON object"),
+    ({"beam": {"frequency_hz": "x"}}, "frequency_hz must be a finite number > 0, got 'x'"),
+    ({"beam": {"frequency_hz": None}}, "frequency_hz must be a finite number > 0, got None"),
+    ({"beam": {"frequency_hz": float("nan")}}, "frequency_hz must be a finite number > 0"),
+    ({"beam": {"edge_attenuation_db": float("inf")}}, "edge_attenuation_db must be a finite"),
+    ({"beam": {"antenna_diameter_m": True}}, "antenna_diameter_m must be a finite number"),
+    ({"beam": {"antenna_diameter_m": 0}}, "antenna_diameter_m must be a finite number"),
+    # the altitude cancels out of the model: no beam key sets it
+    ({"beam": {"satellite_altitude_m": 1000.0}}, "unknown beam keys ['satellite_altitude_m']"),
+    ({"scenario": {"strategies": "AB"}}, "strategies must be a nonempty list of distinct"),
+], ids=["scenario-5", "scenario-null", "beam-string", "pair-list", "grid-null", "top-list",
+        "beam-frequency-string", "beam-frequency-null", "beam-frequency-nan",
+        "beam-edge-inf", "beam-diameter-true", "beam-diameter-0", "beam-altitude",
+        "scenario-strategies-string"])
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["rates", "pair", "--snr1", "7", "--snr2", "10"],
+], ids=["simulate", "rates-pair"])
+def test_malformed_config_exit_2(config, message, command, tmp_path, capsys):
+    # every subcommand reads the whole config, so each rejects it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, _, err = run_cli(["--out-dir", str(out), "--config", str(path), *command], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("error:") == 1 and message in err
+    assert not out.exists()
+
+
+def test_every_preset_builds_scenario_and_beam():
+    configs = resources.files("hmts.data.configs")
+    presets = [ref.name for ref in configs.iterdir() if ref.name.endswith(".json")]
+    assert len(presets) >= 4
+    for preset in presets:
+        args = argparse.Namespace(config=preset)
+        resolve_settings(args)
+        assert isinstance(args.scenario, ScenarioConfig) and args.scenario.seed == args.seed
+        assert args.beam == BeamConfig()  # no preset sets the antenna
 
 
 @pytest.mark.parametrize("argv, config", [

@@ -61,7 +61,7 @@ class TestBruteForceMatching:
 
 @pytest.fixture(scope="module")
 def beam():
-    return BeamConfig(snr_max_db=10.0)
+    return BeamConfig()
 
 
 class TestLocationCdf:

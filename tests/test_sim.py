@@ -240,7 +240,7 @@ class TestRunTrial:
         weather = default_weather_cdf()
         for snr_max, share, weight in ((7.0, 0.0, 1), (13.0, 0.3, 2), (18.0, 0.5, 3)):
             population = generate_population(
-                500, BeamConfig(snr_max_db=snr_max), weather,
+                500, snr_max, BeamConfig(), weather,
                 professional_share=share, professional_weight=weight, seed=11,
             )
             for strategy in "ABCD":
@@ -328,6 +328,10 @@ class TestRunScenario:
         ("professional_share_grid", (1.5,)), ("rho_set", (-0.1,)),
         ("professional_share_grid", (False,)), ("professional_share_grid", ()),
         ("rho_set", (-float("inf"),)), ("rho_set", ()), ("rho_set", "0.8"),
+        ("snr_max_grid", (10.0, 10)), ("professional_share_grid", (0.5, 0.2, 0.5)),
+        ("rho_set", [0.8, np.float64(0.8)]), ("strategies", "AB"), ("strategies", ()),
+        ("strategies", ("A", "A")), ("strategies", ("E",)), ("strategies", (["A"],)),
+        ("strategies", None),
     ])
     def test_invalid_sweeps(self, key, value):
         with pytest.raises(ParameterError, match=key):
