@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -291,16 +291,83 @@ def _stream_masks(c: Constellation, stream: str):
     raise ParameterError(f"unknown stream {stream!r}")
 
 
-@lru_cache(maxsize=8)
-def _standard_normals(m: int, per: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary noise draws of ``stream_mutual_information``:
-    ``(m, per)`` standard normals from ``default_rng(seed)``, drawn once
-    and read-only."""
-    rng = np.random.default_rng(seed)
-    draws = (rng.standard_normal((m, per)), rng.standard_normal((m, per)))
-    for z in draws:
-        z.setflags(write=False)
-    return draws
+class _Curve:
+    """The SNR-free part of one MI curve (constellation, stream, quality,
+    seed), built on the first evaluation, and the MI by SNR that
+    ``estimate_threshold`` has bisected on it.
+
+    With ``y = s_i + scale * z`` and ``d_ij = s_i - s_j``, the log-weight
+    of candidate j relative to the sent symbol i is
+    ``-(|d_ij|^2 + scale * 2 Re(d_ij conj z_ik)) / n0``; the two terms
+    ``A = |d|^2`` and ``B = 2 Re(d conj z)`` do not depend on the SNR.
+    Candidates j run over the stream's universe row of i only.
+    """
+
+    def __init__(self, c: Constellation, stream: str, quality: int, seed: int):
+        self._args = (c, stream, quality, seed)
+        self.memo: dict[float, float] = {}
+
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """``A`` (i, j), ``B`` (i, j, k), the (universe, class) masks
+        (i, sum, j) and log2 of the number of stream messages."""
+        c, stream, quality, seed = self._args
+        universe, same = _stream_masks(c, stream)
+        u_sizes = universe.sum(axis=1)
+        c_sizes = same.sum(axis=1)
+        if len(set(u_sizes)) != 1 or len(set(c_sizes)) != 1:
+            raise ParameterError(
+                f"{c.name}: stream classes are not uniform; cannot form stream MI"
+            )
+        syms = c.symbols
+        m = len(syms)
+        per = -(-quality // m)  # ceil
+        rng = np.random.default_rng(seed)
+        z_re = rng.standard_normal((m, per))
+        z_im = rng.standard_normal((m, per))
+        # candidate indices of each sent symbol, in symbol order
+        cand = np.nonzero(universe)[1].reshape(m, u_sizes[0])
+        d = syms[:, None] - syms[cand]
+        a = d.real * d.real + d.imag * d.imag
+        b = d.real[:, :, None] * z_re[:, None, :]
+        b += d.imag[:, :, None] * z_im[:, None, :]
+        b *= 2.0
+        masks = np.stack(
+            (np.ones(cand.shape), np.take_along_axis(same, cand, axis=1)), axis=1
+        ).astype(float)
+        return a, b, masks, math.log2(u_sizes[0] / c_sizes[0])
+
+    def mutual_information(self, snr_db: float) -> float:
+        a, b, masks, log2_classes = self.terms
+        n0 = 10.0 ** (-snr_db / 10.0)  # unit symbol energy
+        # the sent symbol's term is exactly exp(0) = 1 and lies in both
+        # sums, so neither underflows; every other exponent is
+        # (scale^2 |z|^2 - |y - s_j|^2) / n0 <= |z|^2 / 2, so none
+        # overflows and no max shift is needed
+        w = b * (-math.sqrt(n0 / 2.0) / n0)
+        w -= (a / n0)[:, :, None]
+        np.exp(w, out=w)
+        sums = np.matmul(masks, w)  # (i, sum, k)
+        return log2_classes - float(np.mean(np.log(sums[:, 0] / sums[:, 1]))) / math.log(2.0)
+
+
+# The one curve evaluated last, keyed by the values that fix it:
+# bisection from the same bracket visits the same SNRs for every code
+# rate, so consecutive rates of one curve share their first evaluations
+# and every evaluation shares the curve's SNR-free terms.  A caller keeps
+# the curve it was handed, so a thread on another curve starts a new one
+# and never mixes two.
+_last_curve: tuple = (None, None)
+
+
+def _curve(c: Constellation, stream: str, quality: int, seed: int) -> _Curve:
+    global _last_curve
+    key = (c.symbols.tobytes(), c.labels, c.he_bits, c.le_bits, stream, quality, seed)
+    last_key, curve = _last_curve
+    if key != last_key:
+        curve = _Curve(c, stream, quality, seed)
+        _last_curve = (key, curve)
+    return curve
 
 
 def stream_mutual_information(
@@ -317,63 +384,11 @@ def stream_mutual_information(
     """
     if not _SNR_FLOOR_DB <= snr_db <= _SNR_CEIL_DB:
         raise ParameterError(f"snr_db must lie in [{_SNR_FLOOR_DB}, {_SNR_CEIL_DB}]")
-    if quality < 1000:
-        raise ParameterError(f"quality must be >= 1000, got {quality}")
+    if isinstance(quality, bool) or not isinstance(quality, (int, np.integer)) or quality < 1000:
+        raise ParameterError(f"quality must be an integer >= 1000, got {quality!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
-    universe, same = _stream_masks(c, stream)
-    u_sizes = universe.sum(axis=1)
-    c_sizes = same.sum(axis=1)
-    if len(set(u_sizes)) != 1 or len(set(c_sizes)) != 1:
-        raise ParameterError(
-            f"{c.name}: stream classes are not uniform; cannot form stream MI"
-        )
-    syms = c.symbols
-    m = len(syms)
-    n0 = 10.0 ** (-snr_db / 10.0)  # unit symbol energy
-    per = -(-quality // m)  # ceil
-    z_re, z_im = _standard_normals(m, per, int(seed))
-    scale = math.sqrt(n0 / 2.0)
-    y_re = syms.real[:, None] + scale * z_re
-    y_im = syms.imag[:, None] + scale * z_im
-    # log-weights -|y - s_j|^2 / n0 as (sent i, candidate j, sample k):
-    # the max over candidates reduces contiguous sample rows
-    log_w = y_re[:, None, :] - syms.real[None, :, None]
-    d_im = y_im[:, None, :] - syms.imag[None, :, None]
-    log_w *= log_w
-    d_im *= d_im
-    log_w += d_im
-    log_w /= -n0
-    # one exp pass shifted by the max over all candidates; the sent symbol
-    # is in both sums and its term is at least exp(-|z|^2 / 2), so neither
-    # sum underflows
-    log_w -= log_w.max(axis=1)[:, None, :]
-    np.exp(log_w, out=log_w)
-    masks = np.stack((universe, same), axis=1).astype(float)  # (i, sum, j)
-    sums = np.matmul(masks, log_w)  # (i, sum, k)
-    n_classes = u_sizes[0] / c_sizes[0]
-    info = math.log2(n_classes) - float(
-        np.mean(np.log(sums[:, 0] / sums[:, 1]))
-    ) / math.log(2.0)
-    return info
-
-
-# MI by SNR of the one curve that estimate_threshold bisected last, keyed
-# by the values that fix the curve: bisection from the same bracket visits
-# the same SNRs for every code rate, so consecutive rates of one curve
-# share their first evaluations.  A caller keeps the dict it was handed, so
-# a thread bisecting another curve starts a new dict and never mixes two.
-_last_curve: tuple = (None, {})
-
-
-def _curve_memo(c: Constellation, stream: str, quality: int, seed: int) -> dict[float, float]:
-    global _last_curve
-    key = (c.symbols.tobytes(), c.labels, c.he_bits, c.le_bits, stream, quality, seed)
-    last_key, memo = _last_curve
-    if key != last_key:
-        memo = {}
-        _last_curve = (key, memo)
-    return memo
+    return _curve(c, stream, quality, seed).mutual_information(snr_db)
 
 
 def estimate_threshold(
@@ -399,7 +414,7 @@ def estimate_threshold(
             f"loss margin must lie in [0, {_MAX_LOSS_MARGIN_DB:g}] dB, got {loss_margin_db}"
         )
     target = c.stream_bits(stream) * rate
-    memo = _curve_memo(c, stream, quality, seed)
+    memo = _curve(c, stream, quality, seed).memo
 
     def mi(snr):
         if snr not in memo:

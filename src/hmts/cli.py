@@ -153,7 +153,19 @@ def cmd_constellation(args) -> int:
     return 0
 
 
+def _reject_repeats(option: str, values) -> None:
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ParameterError(f"{option} repeats {value}")
+        seen.add(value)
+
+
 def cmd_thresholds(args) -> int:
+    # the table would refuse a repeat only after every threshold is
+    # estimated, so repeats are rejected before the first
+    _reject_repeats("--rho", [capacity.hierarchical_modulation_id(rho) for rho in args.rho])
+    _reject_repeats("--rates", args.rates)
     entries = []
     for rho in args.rho:
         entries.extend(

@@ -5,12 +5,14 @@ quadrature oracle; threshold inversion against a fine-grid inversion of
 the quadrature curve.
 """
 
+import gc
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmts import capacity
@@ -63,6 +65,17 @@ KERNEL_CASES = (
         for stream in ("single", "HE", "LE")
     ]
 )
+
+
+
+def _extreme_examples(test):
+    """Both ends of the SNR range and of the quality the dense-kernel
+    property draws, on QPSK and on each stream of H16APSK-0.80."""
+    for case, snr_db, quality, seed in itertools.product(
+        (0, 4, 5, 6), (-10.0, 30.0), (1000, 40000), (0, 9)
+    ):
+        test = example(case=case, snr_db=snr_db, seed=seed, quality=quality)(test)
+    return test
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +154,16 @@ class TestStreamMutualInformation:
         with pytest.raises(ParameterError):
             stream_mutual_information(qpsk, "single", 5.0, quality=100)
 
+    @pytest.mark.parametrize("quality", [2000.0, 1500.5, "3000", True, None])
+    def test_quality_must_be_an_integer(self, qpsk, apsk_08, quality):
+        message = "quality must be an integer >= 1000"
+        with pytest.raises(ParameterError, match=message):
+            stream_mutual_information(qpsk, "single", 5.0, quality=quality)
+        with pytest.raises(ParameterError, match=message):
+            estimate_threshold(apsk_08, "HE", Fraction(1, 2), quality=quality)
+        with pytest.raises(ParameterError, match=message):
+            select_pair(0.8, [Fraction(1, 2)], n_grid=3, quality=quality)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, None, True])
     def test_seed_must_be_a_nonnegative_integer(self, qpsk, seed):
         with pytest.raises(ParameterError, match="seed"):
@@ -165,11 +188,26 @@ class TestStreamMutualInformation:
         seed=st.integers(0, 9),
         quality=st.integers(1000, 40000),
     )
+    @_extreme_examples
     def test_matches_dense_kernel(self, case, snr_db, seed, quality):
         c, stream = KERNEL_CASES[case]
         ours = stream_mutual_information(c, stream, snr_db, quality=quality, seed=seed)
         dense = stream_mutual_information_dense(c, stream, snr_db, quality=quality, seed=seed)
+        assert math.isfinite(ours)
         assert abs(ours - dense) <= 1e-12
+
+    def test_alternating_curves_equal_cold_calls(self, apsk_08):
+        curves = [(apsk_08, stream) for stream in ("HE", "LE", "single")]
+        snrs = (-10.0, 2.5, 11.0, 30.0)
+        cold = {}
+        for (c, stream), snr in itertools.product(curves, snrs):
+            _evict_curve_memo()
+            cold[stream, snr] = stream_mutual_information(c, stream, snr, quality=2000, seed=3)
+        # every call switches curve, then each curve is called twice in a row
+        for snr in snrs:
+            for c, stream in curves + curves[::-1] + [curves[0]] * 2:
+                got = stream_mutual_information(c, stream, snr, quality=2000, seed=3)
+                assert got == cold[stream, snr], (stream, snr)
 
 
 class TestEstimateThreshold:
@@ -305,6 +343,13 @@ class TestCurveMemo:
             for rate in rates:
                 got = estimate_threshold(c, stream, rate, quality=quality, seed=seed)
                 assert got == cold[g, rate], (g, rate)
+
+
+    def test_select_pair_keeps_one_curve(self):
+        select_pair(0.8, [Fraction(1, 2), Fraction(2, 3)])  # 21 geometries
+        gc.collect()
+        curves = [o for o in gc.get_objects() if isinstance(o, capacity._Curve)]
+        assert curves == [capacity._last_curve[1]]
 
 
 class TestRhoTradeoff:

@@ -8,6 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from hmts import capacity
 from hmts.capacity import default_table
 from hmts.channel import BeamConfig
 from hmts.cli import main, resolve_settings
@@ -101,6 +102,25 @@ class TestThresholdsCommand:
         )
         assert code == 2
         assert "loss margin" in err
+        assert not list(tmp_path.iterdir())
+
+
+    @pytest.mark.parametrize("flags, repeated", [
+        (["--rho", "0.8", "--rho", "0.8"], "--rho repeats H16APSK-0.80"),
+        (["--rho", "0.8", "--rho", "0.801"], "--rho repeats H16APSK-0.80"),
+        (["--rho", "0.8", "--rates", "1/2,2/3,2/4"], "--rates repeats 1/2"),
+    ], ids=["rho", "rho-same-id", "rates"])
+    def test_repeat_exit_2_before_estimating(self, flags, repeated, tmp_path, capsys,
+                                             monkeypatch):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("MI evaluated")
+
+        monkeypatch.setattr(capacity, "stream_mutual_information", no_evaluation)
+        code, _, err = run_cli(
+            ["--out-dir", str(tmp_path), "thresholds", "estimate", *flags], capsys
+        )
+        assert code == 2
+        assert err == f"error: {repeated}\n"
         assert not list(tmp_path.iterdir())
 
 
