@@ -163,9 +163,13 @@ def _reject_repeats(option: str, values) -> None:
 
 def cmd_thresholds(args) -> int:
     # the table would refuse a repeat only after every threshold is
-    # estimated, so repeats are rejected before the first
-    _reject_repeats("--rho", [capacity.hierarchical_modulation_id(rho) for rho in args.rho])
+    # estimated, so repeats and a rho without an adopted geometry are
+    # rejected before the first
+    ids = [capacity.hierarchical_modulation_id(rho) for rho in args.rho]
+    _reject_repeats("--rho", ids)
     _reject_repeats("--rates", args.rates)
+    for mod_id in ids:
+        capacity.hierarchical_constellation(mod_id)
     entries = []
     for rho in args.rho:
         entries.extend(

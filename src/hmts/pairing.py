@@ -5,6 +5,13 @@ Pairing the extremes first (strategy A) attains the maximum Delta over
 all perfect matchings; the closed-form bound from the sorted histogram
 equals that maximum.  The strategies order receivers by (SNR, index),
 which is what a stable argsort gives.
+
+Each strategy is one core, ``pairs_a`` to ``pairs_d``, over SNRs already
+sorted that way: it returns pairs of positions into them, as an array.
+``STRATEGIES`` maps the names A-D to the cores.  ``strategy_a`` to
+``strategy_d`` and ``run_strategy`` sort any SNR list, call a core and
+wrap its pairs into a ``PairingPlan``; the simulation calls the cores
+through ``pair_positions`` and builds no plan.
 """
 
 from __future__ import annotations
@@ -20,6 +27,12 @@ from .errors import ParameterError
 
 __all__ = [
     "PairingPlan",
+    "check_snrs",
+    "pairs_a",
+    "pairs_b",
+    "pairs_c",
+    "pairs_d",
+    "pair_positions",
     "strategy_a",
     "strategy_b",
     "strategy_c",
@@ -54,7 +67,9 @@ class PairingPlan:
         return cls(pairs=tuple(map(tuple, pairs.tolist())), delta_avg=avg, delta_variance=var)
 
 
-def _check_even(snrs) -> np.ndarray:
+def check_snrs(snrs) -> np.ndarray:
+    """``snrs`` as a float array, checked for pairing: an even count >= 2
+    of finite SNRs whose pair differences have a finite mean and variance."""
     snrs = np.asarray(snrs, dtype=float)
     if len(snrs) < 2 or len(snrs) % 2:
         raise ParameterError(f"pairing requires an even receiver count >= 2, got {len(snrs)}")
@@ -72,17 +87,12 @@ def _check_even(snrs) -> np.ndarray:
     return snrs
 
 
-def strategy_a(snrs) -> PairingPlan:
-    """Pair the two receivers with the largest SNR difference, repeat.
-
-    Equivalent to pairing the k-th smallest with the k-th largest; attains
-    the maximum average SNR difference over all perfect matchings.
-    """
-    snrs = _check_even(snrs)
-    order = np.argsort(snrs, kind="stable")
-    half = len(order) // 2
-    pairs = np.column_stack((order[:half], order[::-1][:half]))
-    return PairingPlan.from_pairs(snrs, pairs)
+def pairs_a(v) -> np.ndarray:
+    """Strategy A's core: pair the two receivers with the largest SNR
+    difference, repeat; that is, position k with position n - 1 - k."""
+    half = len(v) // 2
+    k = np.arange(half)
+    return np.column_stack((k, len(v) - 1 - k))
 
 
 def _bisect_rows(lo, hi, reached) -> np.ndarray:
@@ -103,24 +113,23 @@ def _bisect_rows(lo, hi, reached) -> np.ndarray:
     return lo
 
 
-def strategy_b(snrs) -> PairingPlan:
-    """Pair receivers whose SNR difference is closest to the maximum
-    average difference, greedily; variance of the per-pair difference is
-    typically much smaller than strategy A's.
+def pairs_b(v) -> np.ndarray:
+    """Strategy B's core: pair receivers whose SNR difference is closest
+    to the maximum average difference (strategy A's), greedily.
 
-    Over the receivers sorted by (SNR, index), candidate pairs i < j are
-    taken in order of closeness ``abs(abs(v[i] - v[j]) - target)``, then
-    i, then j, skipping any that reuse a receiver.  A heap holds each
-    receiver's best candidate partner; each receiver walks its partners
-    in (closeness, j) order outward from the first j whose computed
-    difference reaches the target, so time is O(n log n) in the usual
-    case and memory O(n).  Every receiver's first j and first candidate
-    are found at once, by bisecting all rows together with numpy on the
-    same computed differences; the greedy walk itself is a Python loop.
+    Candidate pairs i < j are taken in order of closeness
+    ``abs(abs(v[i] - v[j]) - target)``, then i, then j, skipping any
+    that reuse a receiver.  A heap holds each receiver's best candidate
+    partner; each receiver walks its partners in (closeness, j) order
+    outward from the first j whose computed difference v[j] - v[i]
+    reaches the target, so time is O(n log n) in the usual case and
+    memory O(n).  That first j is found for every receiver at once by
+    ``np.searchsorted`` on v[i] + target and then checked on the
+    computed differences; only the receivers where the two disagree
+    (v[i] + target rounds differently) are bisected on the differences
+    themselves.  The greedy walk is a Python loop.
     """
-    snrs = _check_even(snrs)
-    order = np.argsort(snrs, kind="stable")
-    va = snrs[order]
+    va = np.asarray(v)
     n = len(va)
     half = n // 2
     # strategy A's delta_avg: the same differences, added in the same order
@@ -129,12 +138,18 @@ def strategy_b(snrs) -> PairingPlan:
     # partners j >= right[i] lie at or above the target and come out in
     # ascending j; below it, closeness grows as j falls, and a run of
     # equal closeness [run_lo[i], run_hi[i]] comes out in ascending j
-    # from left[i].  Both searches bisect on the computed difference
-    # v[j] - v[i] (and gap), never on v[i] + target, which rounds
-    # differently; runs are of equal gap, since distinct differences can
-    # round to one gap
+    # from left[i].  Both searches end on the computed difference
+    # v[j] - v[i] (and gap), never on v[i] + target alone; runs are of
+    # equal gap, since distinct differences can round to one gap
     rows = np.arange(n)
-    split = _bisect_rows(rows + 1, np.full(n, n), lambda r, m: va[m] - va[r] >= target)
+    split = np.clip(np.searchsorted(va, va + target), rows + 1, n)
+    # the split's difference reaches the target and the one before it
+    # falls short; the rows where either fails are bisected
+    reaches = (split == n) | (va[np.minimum(split, n - 1)] - va >= target)
+    short_before = (split == rows + 1) | (va[split - 1] - va < target)
+    miss = np.flatnonzero(~(reaches & short_before))
+    split[miss] = _bisect_rows(miss + 1, np.full(miss.size, n),
+                               lambda r, m: va[m] - va[miss[r]] >= target)
     k = split - 1
     has_left = k > rows
     gap = (va[k] - va) - target
@@ -170,26 +185,38 @@ def strategy_b(snrs) -> PairingPlan:
     # unused index <= k (-1 is a sentinel)
     up = list(range(n + 1))
     down = list(range(n + 1))
-
-    def first_unused_from(k):
-        while up[k] != k:
-            up[k] = up[up[k]]
-            k = up[k]
-        return k
-
-    def last_unused_to(k):
-        k += 1
-        while down[k] != k:
-            down[k] = down[down[k]]
-            k = down[k]
-        return k - 1
-
-    def best_partner(i):
-        """(closeness, i, j) for i's best unused partner j > i, or None."""
+    heappop, heapreplace = heapq.heappop, heapq.heapreplace
+    pairs = []
+    while True:
+        _, i, b = heap[0]
+        if up[i] != i:
+            heappop(heap)
+            continue
+        if up[b] == b:
+            heappop(heap)
+            up[i] = i + 1
+            down[i + 1] = i
+            up[b] = b + 1
+            down[b + 1] = b
+            pairs.append((i, b))
+            if len(pairs) == half:
+                return np.array(pairs)
+            continue
+        # b is taken: replace i's entry by its best unused partner j > i
         vi = v[i]
-        j = left[i] = first_unused_from(left[i])
+        j = left[i]  # the first unused index >= left[i]
+        while up[j] != j:
+            up[j] = up[up[j]]
+            j = up[j]
+        left[i] = j
         if j > run_hi[i]:
-            k = last_unused_to(run_lo[i] - 1)
+            # the run is used up: the next one ends at the last unused
+            # index below it
+            k = run_lo[i]
+            while down[k] != k:
+                down[k] = down[down[k]]
+                k = down[k]
+            k -= 1
             if k > i:
                 gap = (v[k] - vi) - target
                 if (v[k - 1] - vi) - target < gap:  # a run of one
@@ -197,67 +224,108 @@ def strategy_b(snrs) -> PairingPlan:
                 else:
                     lo = bisect_left(v, gap, i + 1, k, key=lambda x: (x - vi) - target)
                 run_lo[i], run_hi[i] = lo, k
-                j = left[i] = first_unused_from(lo)
+                j = lo
+                while up[j] != j:
+                    up[j] = up[up[j]]
+                    j = up[j]
+                left[i] = j
             else:
                 run_lo[i], run_hi[i] = i + 1, i
-                j = None
-        c_left = None if j is None else abs(abs(vi - v[j]) - target)
-        r = right[i] = first_unused_from(right[i])
-        if r < n:
-            c_right = abs(abs(vi - v[r]) - target)
-            if j is None or c_right < c_left:  # a tie goes to the smaller j
-                return (c_right, i, r)
-        return None if j is None else (c_left, i, j)
-
-    pairs = []
-    while len(pairs) < half:
-        _, a, b = heap[0]
-        if up[a] != a:
-            heapq.heappop(heap)
-        elif up[b] != b:
-            entry = best_partner(a)
-            if entry is None:
-                heapq.heappop(heap)
+                j = -1
+        r = right[i]
+        while up[r] != r:
+            up[r] = up[up[r]]
+            r = up[r]
+        right[i] = r
+        # the closeness abs(abs(v[i] - v[j]) - target), without the abs:
+        # the differences of j below the split fall short of the target
+        # and those of r reach it, and rounding is symmetric in sign
+        if j < 0:
+            if r < n:
+                heapreplace(heap, ((v[r] - vi) - target, i, r))
             else:
-                heapq.heapreplace(heap, entry)
+                heappop(heap)
         else:
-            heapq.heappop(heap)
-            for k in (a, b):
-                up[k] = k + 1
-                down[k + 1] = k
-            pairs.append((a, b))
-    return PairingPlan.from_pairs(snrs, order[np.array(pairs)])
+            c_left = target - (v[j] - vi)
+            if r < n:
+                c_right = (v[r] - vi) - target
+                if c_right < c_left:  # a tie goes to the smaller j
+                    heapreplace(heap, (c_right, i, r))
+                    continue
+            heapreplace(heap, (c_left, i, j))
 
 
-def strategy_c(snrs, seed=0) -> PairingPlan:
-    """Uniformly random perfect matching, reproducible per seed."""
-    snrs = _check_even(snrs)
-    rng = np.random.default_rng(seed)
-    order = np.argsort(snrs, kind="stable")
-    perm = rng.permutation(len(order))
-    return PairingPlan.from_pairs(snrs, order[perm].reshape(-1, 2))
+def pairs_c(v, seed=0) -> np.ndarray:
+    """Strategy C's core: a uniformly random perfect matching,
+    reproducible per seed."""
+    return np.random.default_rng(seed).permutation(len(v)).reshape(-1, 2)
 
 
-def strategy_d(snrs) -> PairingPlan:
-    """Pair the receivers with the closest SNRs (sorted-adjacent); attains
-    the minimum average SNR difference."""
-    snrs = _check_even(snrs)
-    return PairingPlan.from_pairs(snrs, np.argsort(snrs, kind="stable").reshape(-1, 2))
+def pairs_d(v) -> np.ndarray:
+    """Strategy D's core: pair the receivers with the closest SNRs
+    (sorted-adjacent); attains the minimum average SNR difference."""
+    return np.arange(len(v)).reshape(-1, 2)
 
 
 STRATEGIES = {
-    "A": strategy_a,
-    "B": strategy_b,
-    "C": strategy_c,
-    "D": strategy_d,
+    "A": pairs_a,
+    "B": pairs_b,
+    "C": pairs_c,
+    "D": pairs_d,
 }
+
+
+def pair_positions(strategy: str, v, seed=0) -> np.ndarray:
+    """Pair the sorted SNRs ``v`` (checked by ``check_snrs``) with
+    strategy A-D, looked up in ``STRATEGIES`` at each call; only the
+    random strategy C draws from ``seed``.
+
+    Returns an (n/2, 2) array of positions into ``v``, one row per
+    pair, in the order the strategy picks them: the order in which
+    ``PairingPlan`` adds up their differences.
+    """
+    fn = STRATEGIES[strategy]
+    return fn(v, seed) if strategy == "C" else fn(v)
 
 
 def run_strategy(strategy: str, snrs, seed=0) -> PairingPlan:
     """Pair ``snrs`` with strategy A-D, looked up in ``STRATEGIES`` at
     each call; only the random strategy C draws from ``seed``."""
-    fn = STRATEGIES[strategy]
-    return fn(snrs, seed) if strategy == "C" else fn(snrs)
+    return _plan(snrs, lambda v: pair_positions(strategy, v, seed))
+
+
+def strategy_a(snrs) -> PairingPlan:
+    """Pair the two receivers with the largest SNR difference, repeat.
+
+    Equivalent to pairing the k-th smallest with the k-th largest; attains
+    the maximum average SNR difference over all perfect matchings.
+    """
+    return _plan(snrs, pairs_a)
+
+
+def strategy_b(snrs) -> PairingPlan:
+    """Pair receivers whose SNR difference is closest to the maximum
+    average difference, greedily (see ``pairs_b``); variance of the
+    per-pair difference is typically much smaller than strategy A's."""
+    return _plan(snrs, pairs_b)
+
+
+def strategy_c(snrs, seed=0) -> PairingPlan:
+    """Uniformly random perfect matching, reproducible per seed."""
+    return _plan(snrs, lambda v: pairs_c(v, seed))
+
+
+def strategy_d(snrs) -> PairingPlan:
+    """Pair the receivers with the closest SNRs (sorted-adjacent); attains
+    the minimum average SNR difference."""
+    return _plan(snrs, pairs_d)
+
+
+def _plan(snrs, positions) -> PairingPlan:
+    """The plan of ``positions`` (a core, given the sorted SNRs) on ``snrs``."""
+    snrs = check_snrs(snrs)
+    order = np.argsort(snrs, kind="stable")
+    return PairingPlan.from_pairs(snrs, order[positions(snrs[order])])
 
 
 def delta_upper_bound(histogram) -> float:

@@ -23,7 +23,7 @@ from ._csv import atomic_writer
 from .capacity import ThresholdTable, _parse_hier_rho, best_entry, default_table
 from .channel import BeamConfig, WeatherCdf, default_weather_cdf, generate_population, write_population
 from .errors import DegenerateRateError, ParameterError
-from .pairing import STRATEGIES, run_strategy
+from .pairing import STRATEGIES, check_snrs, pair_positions
 from .rates import hierarchical_gain
 
 __all__ = [
@@ -330,8 +330,17 @@ def run_trial(snr_db, weight, strategy: str, table, seed=0):
     receiver; ``excluded`` lists the indices that decode nothing and
     take part in neither scheme.
     """
-    if strategy not in STRATEGIES:
-        raise ParameterError(f"unknown strategy {strategy!r}")
+    return _run_trials(snr_db, weight, (strategy,), table, seed)[0]
+
+
+def _run_trials(snr_db, weight, strategies, table, seed=0) -> list[tuple]:
+    """``run_trial`` of one population under each of ``strategies``, in
+    one pass: the checks, the classical rate, the sort and the solo
+    receiver are done once, and each strategy's pairs are looked up in
+    one ``pair_rate`` call for all of them."""
+    for strategy in strategies:
+        if strategy not in STRATEGIES:
+            raise ParameterError(f"unknown strategy {strategy!r}")
     snr = np.asarray(snr_db, dtype=float)
     weight = _check_weights(weight)
     if snr.ndim != 1 or weight.shape != snr.shape:
@@ -349,21 +358,38 @@ def run_trial(snr_db, weight, strategy: str, table, seed=0):
         )
     # np.cumsum adds left to right, as the reference run_trial_scalar in
     # tests/oracles.py does; np.sum adds pairwise, which rounds differently
-    classical = 1.0 / np.cumsum(weight[active] / rates[active])[-1]
+    classical = float(1.0 / np.cumsum(weight[active] / rates[active])[-1])
 
     pool = active[np.argsort(snr[active], kind="stable")]
-    inv = []
+    solo = np.empty(0)
     if len(pool) % 2:
-        solo = pool[len(pool) // 2]  # keep the middle receiver single
+        middle = pool[len(pool) // 2]  # keep the middle receiver single
         pool = np.delete(pool, len(pool) // 2)
-        inv.append([weight[solo] / rates[solo]])
+        solo = np.array([weight[middle] / rates[middle]])
+    # per strategy: the solo receiver, then each pair's inverse rate, the
+    # pairs in ascending order of their smaller position in the pool
+    inv = np.zeros((len(strategies), len(pool) // 2))
     if pool.size:
-        plan = run_strategy(strategy, snr[pool], seed)
-        i, j = pool[np.array(plan.pairs).T]
-        inv.append(1.0 / cache.pair_rate(snr[i], snr[j], weight[i], weight[j]))
-    hier = 1.0 / np.cumsum(np.concatenate(inv))[-1]
-    classical, hier = float(classical), float(hier)
-    return classical, hier, hierarchical_gain(hier, classical), excluded
+        v, w = check_snrs(snr[pool]), weight[pool]
+        lo, hi = np.concatenate(
+            [_by_smaller(pair_positions(s, v, seed)) for s in strategies], axis=1
+        )
+        inv = 1.0 / cache.pair_rate(v[lo], v[hi], w[lo], w[hi]).reshape(inv.shape)
+    inv = np.hstack((np.broadcast_to(solo, (len(strategies), solo.size)), inv))
+    hier = 1.0 / np.cumsum(inv, axis=1)[:, -1]
+    gains = hierarchical_gain(hier, classical)
+    return [(classical, h, g, excluded) for h, g in zip(hier.tolist(), gains.tolist())]
+
+
+def _by_smaller(pairs: np.ndarray) -> np.ndarray:
+    """A perfect matching of positions 0..n-1 as two rows, the smaller
+    and the larger position of each pair, the pairs in ascending order
+    of the smaller."""
+    mate = np.empty(pairs.size, dtype=np.intp)
+    mate[pairs[:, 0]] = pairs[:, 1]
+    mate[pairs[:, 1]] = pairs[:, 0]
+    lo = np.flatnonzero(mate > np.arange(pairs.size))
+    return np.stack((lo, mate[lo]))
 
 
 def _trial_seed(seed: int, snr_max_db: float, share: float, trial: int) -> np.random.SeedSequence:
@@ -415,10 +441,10 @@ def run_scenario(
                 if population_dir is not None:
                     name = f"population_snr{snr_max:g}_share{share:g}_trial{trial}.csv"
                     write_population(population, os.path.join(population_dir, name))
-                for strategy in cfg.strategies:
-                    classical, hier, gain, excluded = run_trial(
-                        population.snr_db, population.weight, strategy, cache, seed=strat_seed
-                    )
+                trials = _run_trials(
+                    population.snr_db, population.weight, cfg.strategies, cache, seed=strat_seed
+                )
+                for strategy, (classical, hier, gain, excluded) in zip(cfg.strategies, trials):
                     records.append(
                         GainRecord(
                             snr_max_db=snr_max, strategy=strategy, share=share,

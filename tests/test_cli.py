@@ -123,6 +123,20 @@ class TestThresholdsCommand:
         assert err == f"error: {repeated}\n"
         assert not list(tmp_path.iterdir())
 
+    def test_unknown_rho_exit_2_before_estimating(self, tmp_path, capsys, monkeypatch):
+        # the known rho comes first: its thresholds are not estimated
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("MI evaluated")
+
+        monkeypatch.setattr(capacity, "stream_mutual_information", no_evaluation)
+        code, _, err = run_cli(
+            ["--out-dir", str(tmp_path), "thresholds", "estimate", "--rho", "0.8", "--rho", "0.77"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: no adopted geometry for rho_he=0.77; known: ")
+        assert not list(tmp_path.iterdir())
+
 
 class TestRatesCommand:
     def test_pair_output(self, tmp_path, capsys):

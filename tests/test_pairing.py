@@ -9,11 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmts import pairing, sim
+from hmts.capacity import default_table
 from hmts.errors import ParameterError
 from hmts.pairing import (
     STRATEGIES,
     PairingPlan,
     delta_upper_bound,
+    pair_positions,
+    pairs_b,
+    pairs_c,
     run_strategy,
     strategy_a,
     strategy_b,
@@ -217,14 +221,16 @@ class TestStrategyBMatchesHeap:
         assert_same_plan(strategy_b(snrs), strategy_b_heap(snrs))
 
     def test_homogeneous_sweep_populations(self, monkeypatch):
-        # every pool strategy B pairs in the homogeneous_500 sweep, seed 1
+        # every pool strategy B pairs in the homogeneous_500 sweep, seed 1:
+        # the positions the simulation gets make the heap walk's plan
         seen = []
 
-        def both(snrs):
-            seen.append(len(snrs))
-            plan = strategy_b(snrs)
-            assert_same_plan(plan, strategy_b_heap(snrs))
-            return plan
+        def both(v):
+            seen.append(len(v))
+            assert np.all(v[:-1] <= v[1:])  # the cores get sorted SNRs
+            positions = pairs_b(v)
+            assert_same_plan(PairingPlan.from_pairs(v, positions), strategy_b_heap(v))
+            return positions
 
         monkeypatch.setitem(pairing.STRATEGIES, "B", both)
         cfg = sim.ScenarioConfig(
@@ -233,6 +239,74 @@ class TestStrategyBMatchesHeap:
         )
         sim.run_scenario(cfg, mode="homogeneous")
         assert len(seen) == 50 and min(seen) >= 2
+
+
+# receiver 1's v[i] + target rounds onto 2.0 (target = 1 + 2**-52),
+# whose computed difference from 1.0 falls short of the target: the
+# split searchsorted gives is too low
+ROUNDED_SUM = [0.0, 1.0, 1.0 + 2.0**-51, 2.0]
+# receiver 0's v[i] + target is 3.0 exactly (target = 2**53 + 2), but the
+# computed difference 2.5 - v[0] rounds up onto the target: the split
+# searchsorted gives is too high
+ROUNDED_DIFFERENCE = [-(2.0**53) + 1, 0.0, 2.5, 2.0**53]
+
+
+class TestStrategyBCheckedSplit:
+    """B's set-up takes each receiver's split from ``np.searchsorted`` on
+    v[i] + target, checks it on the computed differences and bisects
+    only the receivers that fail the check.  On inputs built against
+    that check the plan stays the heap walk's."""
+
+    @pytest.mark.parametrize("snrs", [
+        pytest.param([7.25] * 10, id="all-equal"),
+        pytest.param([4.0] * 7 + [9.5] * 9 + [12.0] * 5 + [-1.0] * 3, id="many-ties"),
+        pytest.param(np.round(np.random.default_rng(71).normal(9.0, 4.0, 400), 1).tolist(),
+                     id="rounded-0.1dB"),
+        pytest.param([4.0, 12.0], id="n=2"),
+        pytest.param([3.5, 3.5], id="n=2-tied"),
+        pytest.param(ROUNDED_SUM, id="rounded-sum"),
+        pytest.param(ROUNDED_DIFFERENCE, id="rounded-difference"),
+    ])
+    def test_equals_heap(self, snrs):
+        assert_same_plan(strategy_b(snrs), strategy_b_heap(snrs))
+
+    @given(
+        base=st.lists(st.one_of(TIED, CLUSTERED, st.floats(-30.0, 30.0, allow_nan=False)),
+                      min_size=2, max_size=20),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_ulp_around_v_plus_target(self, base, data):
+        # receivers at v[i] + target and one ulp either side of it, for
+        # the target of the receivers drawn first; the new receivers
+        # move the target a little, so some land just across it
+        base = _even(base)
+        target = strategy_a(base).delta_avg
+        snrs = list(base)
+        for v in data.draw(st.lists(st.sampled_from(base), min_size=1, max_size=10)):
+            at = v + target
+            snrs += [math.nextafter(at, -math.inf), at, math.nextafter(at, math.inf)]
+        snrs = _even(snrs)
+        want = strategy_b_heap(snrs)
+        assert_same_plan(strategy_b(snrs), want)
+        assert_same_plan(strategy_b_allpairs(snrs), want)
+
+    @pytest.mark.parametrize("snrs, receiver", [(ROUNDED_SUM, 1), (ROUNDED_DIFFERENCE, 0)],
+                             ids=["rounded-sum", "rounded-difference"])
+    def test_failed_check_takes_the_bisection(self, monkeypatch, snrs, receiver):
+        searched = []
+        bisect_rows = pairing._bisect_rows
+
+        def spy(lo, hi, reached):
+            searched.append(np.asarray(lo).tolist())
+            return bisect_rows(lo, hi, reached)
+
+        monkeypatch.setattr(pairing, "_bisect_rows", spy)
+        assert_same_plan(strategy_b(snrs), strategy_b_heap(snrs))
+        # the first search is the split's: that receiver alone, from the
+        # position after it
+        assert searched[0] == [receiver + 1]
+        assert_same_plan(strategy_b(snrs), strategy_b_allpairs(snrs))
 
 
 def _bisect_rows_reference(values, lo, hi, thresholds):
@@ -441,22 +515,37 @@ class TestBruteForce:
 
 class TestRunStrategy:
     def test_seed_reaches_only_strategy_c(self):
-        snrs = [float(v) for v in range(10)]
+        snrs = [float(v) for v in (3, 9, 0, 7, 1, 8, 2, 6, 5, 4)]
+        v = np.sort(snrs)
+        order = np.argsort(snrs, kind="stable")
         assert run_strategy("C", snrs, seed=7) == strategy_c(snrs, seed=7)
         assert run_strategy("C", snrs, seed=7) != run_strategy("C", snrs, seed=8)
+        assert np.array_equal(pair_positions("C", v, seed=7), pairs_c(v, 7))
+        assert not np.array_equal(pair_positions("C", v, seed=7), pair_positions("C", v, seed=8))
         for name in "ABD":
-            assert run_strategy(name, snrs, seed=7) == STRATEGIES[name](snrs)
+            positions = STRATEGIES[name](v)
+            assert np.array_equal(pair_positions(name, v, seed=7), positions)
+            assert run_strategy(name, snrs, seed=7) == PairingPlan.from_pairs(snrs, order[positions])
 
     def test_strategy_looked_up_at_call_time(self, monkeypatch):
         calls = []
 
-        def fake(snrs, seed):
+        def fake(v, seed):
             calls.append(seed)
-            return strategy_c(snrs, seed)
+            return pairs_c(v, seed)
 
         monkeypatch.setitem(pairing.STRATEGIES, "C", fake)
         run_strategy("C", [1.0, 2.0], seed=4)
-        assert calls == [4]
+        pair_positions("C", np.array([1.0, 2.0]), seed=5)
+        sim.run_trial([7.0, 10.0], [1, 1], "C", default_table(), seed=6)
+        assert calls == [4, 5, 6]
+
+    @pytest.mark.parametrize("name", "ABCD")
+    def test_cores_return_a_perfect_matching_of_positions(self, name):
+        v = np.sort(np.random.default_rng(5).normal(9.0, 4.0, 40))
+        positions = pair_positions(name, v, seed=3)
+        assert positions.shape == (20, 2) and positions.dtype.kind == "i"
+        assert sorted(positions.ravel().tolist()) == list(range(40))
 
 
 class TestPlanInvariants:

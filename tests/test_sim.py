@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmts.capacity import DVBS2_CODE_RATES, ModCod, ThresholdTable, default_table
@@ -18,6 +18,7 @@ from hmts.sim import (
     PairRateCache,
     ScenarioConfig,
     _max_min_rates,
+    _run_trials,
     run_scenario,
     run_trial,
     summarize,
@@ -261,6 +262,66 @@ class TestRunTrial:
     def test_matches_scalar_trial(self, snrs, data, strategy, seed):
         weights = data.draw(st.lists(st.integers(1, 3), min_size=len(snrs), max_size=len(snrs)))
         assert_trial_matches_scalar(snrs, weights, strategy, seed)
+
+
+def drawn_population(seed, n_active, n_excluded, weight_max, step_db):
+    """Shuffled SNRs and weights: ``n_active`` receivers between -2 and
+    16 dB (on a ``step_db`` grid, so that they tie, unless it is 0) and
+    ``n_excluded`` below every threshold of the shipped table."""
+    rng = np.random.default_rng(seed)
+    active = rng.uniform(-2.0, 16.0, n_active)
+    if step_db:
+        active = np.round(active / step_db) * step_db
+    snrs = np.concatenate((active, rng.uniform(-9.0, -4.0, n_excluded)))
+    order = rng.permutation(len(snrs))
+    return snrs[order], rng.integers(1, weight_max + 1, len(snrs))
+
+
+class TestSharedTrial:
+    """One pass over a population for all strategies gives each
+    strategy's scalar reference trial, and run_trial one at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_active=st.integers(1, 41),
+        n_excluded=st.integers(0, 4),
+        weight_max=st.integers(1, 3),
+        step_db=st.sampled_from([0.0, 0.1, 0.5, 2.0]),
+        strategy_seed=st.integers(0, 3),
+    )
+    # an odd active count (a solo receiver), excluded receivers, weights
+    # above 1 and tied SNRs, all at once
+    @example(seed=4, n_active=25, n_excluded=3, weight_max=3, step_db=0.5, strategy_seed=1)
+    def test_equals_scalar_trials(self, table, cache, seed, n_active, n_excluded,
+                                  weight_max, step_db, strategy_seed):
+        snrs, weights = drawn_population(seed, n_active, n_excluded, weight_max, step_db)
+        got = _run_trials(snrs, weights, tuple("ABCD"), cache, strategy_seed)
+        assert got == [run_trial_scalar(snrs, weights, s, table, seed=strategy_seed)
+                       for s in "ABCD"]
+        assert got == [run_trial(snrs, weights, s, cache, seed=strategy_seed) for s in "ABCD"]
+        # a subset, in another order, gives the same tuples
+        assert _run_trials(snrs, weights, ("D", "B"), cache, strategy_seed) == [got[3], got[1]]
+
+    def test_example_covers_each_case(self):
+        snrs, weights = drawn_population(4, 25, 3, 3, 0.5)
+        decodes = snrs > -3.0
+        assert decodes.sum() % 2 == 1 and (~decodes).sum() == 3
+        assert weights.max() > 1 and len(set(snrs[decodes].tolist())) < decodes.sum()
+
+    def test_population_seed_sequence_reaches_strategy_c(self, table, cache):
+        population = generate_population(500, 7.0, BeamConfig(), default_weather_cdf(), seed=3)
+        seed = np.random.SeedSequence(8)
+        got = _run_trials(population.snr_db, population.weight, tuple("ABCD"), cache, seed)
+        for strategy, trial in zip("ABCD", got):
+            assert trial == run_trial_scalar(population.snr_db, population.weight,
+                                             strategy, table, seed=seed)
+
+    def test_checks_before_any_strategy(self, cache):
+        with pytest.raises(ParameterError, match="unknown strategy 'E'"):
+            _run_trials([7.0, 10.0], [1, 1], ("A", "E"), cache)
+        with pytest.raises(ParameterError, match="finite"):
+            _run_trials([1e3, 1e200, 7.0], [1, 1, 1], tuple("ABCD"), cache)
 
 
 def small_config(**overrides):
