@@ -77,7 +77,14 @@ _SNR_CEIL_DB = 30.0
 
 
 def hierarchical_modulation_id(rho_he: float) -> str:
-    """Table identifier of the hierarchical 16-APSK at ``rho_he``."""
+    """Table identifier of the hierarchical 16-APSK at ``rho_he``.
+
+    The id carries rho to two decimals, so a rho more than 1e-9 away from
+    a multiple of 0.01 is rejected: rounded, it would name another
+    configuration.
+    """
+    if not (math.isfinite(rho_he) and abs(rho_he - round(rho_he * 100) / 100) <= 1e-9):
+        raise ParameterError(f"rho_he must be a multiple of 0.01, got {rho_he}")
     return f"{_HIER_PREFIX}{rho_he:.2f}"
 
 
@@ -475,6 +482,8 @@ def select_pair(
 ) -> Apsk16Params:
     """Geometry on the energy-solution curve minimising the mean HE
     decoding threshold over ``rates``; ties go to the smaller gamma.
+    A geometry whose HE stream reaches some rate only above 30 dB is
+    infeasible and skipped.
     """
     if not rates:
         raise ParameterError("rates must be nonempty")
@@ -486,10 +495,13 @@ def select_pair(
             continue  # outer points collapse; cannot build the constellation
         c = build_16apsk(Apsk16Params(gamma=gamma, theta_deg=theta))
         score = 0.0
-        for rate in rates:
-            score += estimate_threshold(
-                c, "HE", rate, quality=quality, loss_margin_db=0.0, seed=seed
-            )
+        try:
+            for rate in rates:
+                score += estimate_threshold(
+                    c, "HE", rate, quality=quality, loss_margin_db=0.0, seed=seed
+                )
+        except UnreachableThresholdError:
+            continue
         score /= len(rates)
         if score < best_score:
             best_score = score

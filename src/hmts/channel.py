@@ -67,9 +67,21 @@ def bessel_j1(x):
         term = half.copy()
         acc = term.copy()
         h2 = half * half
+        # Once k(k + 1) > 2 max(h2), each later term is under half the one
+        # before it.  If this term is then also under a quarter of
+        # |spacing(acc)| everywhere (a quarter: the gap below a power of two
+        # is half the gap above; np.spacing is negative for a negative acc),
+        # no later term can change acc, and the sum equals the 39-term sum
+        # to the bit.
+        settled = 2.0 * h2.max()
         for k in range(1, 40):
-            term = -term * h2 / (k * (k + 1))
+            term *= h2
+            term /= -(k * (k + 1))  # in place, the bits of -term * h2 / (k * (k + 1))
             acc += term
+            if k % 4 == 0 and k * (k + 1) > settled and (
+                np.abs(term) < np.abs(np.spacing(acc)) / 4
+            ).all():
+                break
         out[small] = acc
     if (~small).any():
         xl = x[~small]

@@ -10,15 +10,16 @@ bisection.  ``best_single_rate`` reads the table entry by entry, and
 the hierarchical 16-QAM and 8-PSK are extra MI-kernel inputs that the
 threshold table cannot carry.  ``run_strategy_list`` (with
 ``strategy_b_allpairs``), ``strategy_b_heap``,
-``stream_mutual_information_dense``, ``PairRateCacheScalar`` and
-``run_trial_scalar`` are the exceptions:
+``stream_mutual_information_dense``, ``PairRateCacheScalar``,
+``run_trial_scalar`` and ``bessel_j1_series`` are the exceptions:
 they are the previous implementations of the pairing strategies (Python
 lists, strategy B by sorting all pairs, then as a heap walk set up one
 receiver at a time), of the Monte-Carlo stream MI (one masked
-log-sum-exp per sum over a sample-major tensor) and of the per-receiver
+log-sum-exp per sum over a sample-major tensor), of the per-receiver
 trial with its memoised pair rates (``rates.operating_points`` and
-``rates.max_min_weighted`` per bucket pair), kept to pin the package's
-faster ones to the same plans and values.
+``rates.max_min_weighted`` per bucket pair) and of J1's power series
+(all 39 terms), kept to pin the package's faster ones to the same plans
+and values.
 """
 
 from __future__ import annotations
@@ -354,6 +355,20 @@ def bessel_j1_simpson(x, n=40001):
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float(h / 3.0 * np.sum(weights * integrand) / math.pi)
+
+
+def bessel_j1_series(x):
+    """J1 on |x| <= 12 by its power series, all 39 terms added: the
+    previous series of ``hmts.channel.bessel_j1``, which now stops once
+    no later term can change the sum."""
+    half = 0.5 * np.asarray(x, dtype=float)
+    term = half.copy()
+    acc = term.copy()
+    h2 = half * half
+    for k in range(1, 40):
+        term = -term * h2 / (k * (k + 1))
+        acc += term
+    return acc
 
 
 def location_attenuation_cdf(attenuation_db: float, cfg: BeamConfig) -> float:

@@ -37,6 +37,7 @@ from hmts.constellation import (
     Constellation,
     build_16apsk,
     build_uniform,
+    solution_set,
 )
 from hmts.errors import ParameterError, TableError, UnreachableThresholdError
 from hmts.sim import PairRateCache
@@ -410,6 +411,22 @@ class TestSelectPair:
         with pytest.raises(ParameterError):
             select_pair(0.8, [])
 
+    def test_unreachable_geometry_is_skipped(self):
+        # at rho 0.70 the HE stream of the geometries gamma 1.2 and 1.4
+        # never reaches rate 8/9 below 30 dB; like a collapsed theta, they
+        # are infeasible, and the best of the 19 others is chosen
+        rate = Fraction(8, 9)
+        curve = solution_set(0.70, n_samples=21, gamma_cap=5.0).curve
+        for gamma, theta in curve[1:3]:
+            with pytest.raises(UnreachableThresholdError):
+                estimate_threshold(build_16apsk(Apsk16Params(gamma, theta)), "HE", rate,
+                                   quality=8000, loss_margin_db=0.0)
+        assert [round(g, 6) for g, _ in curve[1:3]] == [1.2, 1.4]
+        assert curve[1][1] == pytest.approx(46.25, abs=0.005)
+        chosen = select_pair(0.70, rates=(rate,))
+        assert chosen.gamma == pytest.approx(3.6)
+        assert chosen.theta_deg == pytest.approx(34.03, abs=0.005)
+
 
 class TestThresholdTable:
     def test_default_table_pins(self, table):
@@ -544,6 +561,19 @@ class TestBestSingleRate:
 
 
 class TestAdoptedGeometry:
+    @pytest.mark.parametrize("rho", [0.803, 0.725, 0.801, 0.8 + 2e-9, math.nan, math.inf])
+    def test_id_rejects_a_rho_off_the_hundredths(self, rho):
+        # rounded, 0.803 would name H16APSK-0.80 and run as rho 0.80
+        with pytest.raises(ParameterError, match="multiple of 0.01"):
+            hierarchical_modulation_id(rho)
+
+    @pytest.mark.parametrize("rho, mod_id", [
+        (0.8, "H16APSK-0.80"), (0.8 - 1e-10, "H16APSK-0.80"), (0.7 + 0.05, "H16APSK-0.75"),
+        (np.float64(0.9), "H16APSK-0.90"), (0.5, "H16APSK-0.50"),
+    ])
+    def test_id_of_a_rho_on_the_hundredths(self, rho, mod_id):
+        assert hierarchical_modulation_id(rho) == mod_id
+
     def test_ids_round_trip(self):
         for rho, params in ADOPTED_APSK_GEOMETRY.items():
             c = hierarchical_constellation(hierarchical_modulation_id(rho))

@@ -20,10 +20,11 @@ from hmts.channel import (
     sample_weather,
     write_population,
 )
+from hmts import channel
 from hmts.errors import ParameterError
 from hmts.sim import ScenarioConfig, run_scenario
 
-from oracles import bessel_j1_simpson, location_attenuation_cdf
+from oracles import bessel_j1_series, bessel_j1_simpson, location_attenuation_cdf
 
 
 SNR_MAX = 10.0  # the beam-center SNR of the populations drawn here
@@ -52,6 +53,51 @@ class TestBesselJ1:
     def test_odd_symmetry_and_arrays(self):
         xs = np.array([0.3, 1.0, 14.0])
         assert np.allclose(bessel_j1(-xs), -bessel_j1(xs))
+
+
+def assert_series_bits(x):
+    """``bessel_j1`` on ``x``, whole and in 500-point chunks, has the
+    bits of the 39-term series: its early stop changes no result."""
+    assert bessel_j1(x).tobytes() == bessel_j1_series(x).tobytes()
+    for start in range(0, len(x), 500):
+        chunk = x[start:start + 500]
+        assert bessel_j1(chunk).tobytes() == bessel_j1_series(chunk).tobytes(), start
+
+
+class TestBesselSeriesStop:
+    def test_dense_grid(self):
+        tiny = np.geomspace(1e-300, 1e-2, 2000)
+        assert_series_bits(np.concatenate([
+            np.linspace(-12.0, 12.0, 240_000),  # 0 is not a grid point
+            np.random.default_rng(5).uniform(-12.0, 12.0, 60_000),
+            tiny, -tiny,  # x -> 0
+            J1_FIRST_ZERO + np.linspace(-1e-3, 1e-3, 2001),  # the sum cancels to ~0
+        ]))
+
+    def test_zero_and_subnormal(self):
+        # acc's spacing is the smallest subnormal or 0 there: no stop
+        assert_series_bits(np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0]))
+
+    def test_drawn_populations(self, beam, monkeypatch):
+        # the arguments generate_population passes, recorded on the way
+        seen = []
+
+        def recording(x):
+            seen.append(np.array(x))
+            return bessel_j1(x)
+
+        beam_edge_angle(beam)  # bisected once per antenna, before the recording
+        monkeypatch.setattr(channel, "bessel_j1", recording)
+        weather = default_weather_cdf()
+        # the locations depend on the seed and the terminal count, not on
+        # the beam-center SNR
+        for seed in range(12):
+            generate_population(500, SNR_MAX, beam, weather, seed=seed)
+            generate_population(1000, SNR_MAX, beam, weather, professional_share=0.5,
+                                professional_weight=2, seed=seed)
+        assert len(seen) == 24
+        for x in seen:
+            assert_series_bits(x)
 
 
 class TestPatternAttenuation:

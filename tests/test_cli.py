@@ -107,7 +107,9 @@ class TestThresholdsCommand:
 
     @pytest.mark.parametrize("flags, repeated", [
         (["--rho", "0.8", "--rho", "0.8"], "--rho repeats H16APSK-0.80"),
-        (["--rho", "0.8", "--rho", "0.801"], "--rho repeats H16APSK-0.80"),
+        # 0.801 is no longer rounded to the id of 0.80, so it is refused
+        # before it could repeat that id
+        (["--rho", "0.8", "--rho", "0.801"], "rho_he must be a multiple of 0.01, got 0.801"),
         (["--rho", "0.8", "--rates", "1/2,2/3,2/4"], "--rates repeats 1/2"),
     ], ids=["rho", "rho-same-id", "rates"])
     def test_repeat_exit_2_before_estimating(self, flags, repeated, tmp_path, capsys,
@@ -121,6 +123,19 @@ class TestThresholdsCommand:
         )
         assert code == 2
         assert err == f"error: {repeated}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_rho_off_the_hundredths_exit_2_before_estimating(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("MI evaluated")
+
+        monkeypatch.setattr(capacity, "stream_mutual_information", no_evaluation)
+        code, _, err = run_cli(
+            ["--out-dir", str(tmp_path), "thresholds", "estimate", "--rho", "0.725"], capsys
+        )
+        assert code == 2
+        assert err == "error: rho_he must be a multiple of 0.01, got 0.725\n"
         assert not list(tmp_path.iterdir())
 
     def test_unknown_rho_exit_2_before_estimating(self, tmp_path, capsys, monkeypatch):
@@ -417,6 +432,21 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert err.count("error:") == 1 and "seed" in err
+        assert not out.exists()
+
+    def test_rho_off_the_hundredths_exit_2(self, tmp_path, capsys):
+        # rounded, 0.803 would run as rho 0.80
+        cfg = write_tiny_config(
+            tmp_path / "cfg.json",
+            scenario={"n_receivers": 20, "n_trials": 1, "snr_max_grid": [10.0],
+                      "strategies": ["A"], "rho_set": [0.803]},
+        )
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            ["--out-dir", str(out), "--config", str(cfg), "simulate"], capsys
+        )
+        assert code == 2
+        assert err == "error: rho_he must be a multiple of 0.01, got 0.803\n"
         assert not out.exists()
 
     def test_degenerate_population_exit_3(self, tmp_path, capsys):

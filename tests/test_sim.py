@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from hmts.capacity import DVBS2_CODE_RATES, ModCod, ThresholdTable, default_table
 from hmts.channel import BeamConfig, default_weather_cdf, generate_population
 from hmts.errors import DegenerateRateError, ParameterError
+from hmts.pairing import pairs_a, pairs_b, pairs_d
 from hmts.rates import RatePair, max_min_weighted, operating_points, pair_gain
 from hmts.sim import (
     GainRecord,
     GainReport,
     PairRateCache,
     ScenarioConfig,
+    _by_smaller,
     _max_min_rates,
     _run_trials,
     run_scenario,
@@ -120,6 +122,20 @@ class TestPairRateCache:
                                  np.array([[snr_hi_single, 16 / 9, 1.6]]))
             assert got.tolist() == [max_min_weighted(points)]
             assert max_min_rate_exhaustive(points) != max_min_weighted(points)
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_random_rows_equal_scalar_walk(self, k):
+        # offers on a coarse grid, so points tie, repeat and line up, with
+        # up to 8 hierarchical points (the shipped table has 4): each row's
+        # chain fits the k + 4 vertices the pass keeps room for
+        rng = np.random.default_rng(k)
+        lo = rng.integers(0, 7, (400, k + 1)) / 3
+        hi = rng.integers(0, 7, (400, k + 1)) / 3
+        got = _max_min_rates(lo, hi).tolist()
+        for row, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            points = [RatePair(a[0], 0.0), RatePair(0.0, b[0])]
+            points += [RatePair(x, y) for x, y in zip(a[1:], b[1:]) if x > 0 and y > 0]
+            assert got[row] == max_min_weighted(points), row
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -324,6 +340,29 @@ class TestSharedTrial:
             _run_trials([1e3, 1e200, 7.0], [1, 1, 1], tuple("ABCD"), cache)
 
 
+class TestBySmaller:
+    @staticmethod
+    def by_sorting(pairs):
+        rows = np.sort(pairs, axis=1)
+        return rows[np.argsort(rows[:, 0])].T
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 500])
+    def test_equals_sorting_the_pairs(self, n):
+        v = np.sort(np.random.default_rng(n).uniform(0.0, 12.0, n))
+        perm = np.random.default_rng(n + 1).permutation(n).reshape(-1, 2)
+        # an array already in that order (A's and D's always, others by
+        # chance at small n) is returned as it is; the rest is reordered
+        for pairs in (pairs_a(v), pairs_d(v), pairs_b(v), perm, pairs_d(v)[:, ::-1],
+                      pairs_a(v)[::-1]):
+            want = self.by_sorting(pairs)
+            got = _by_smaller(pairs)
+            assert got.tolist() == want.tolist(), pairs
+            assert np.shares_memory(got, pairs) == np.array_equal(pairs.T, want)
+        for core in (pairs_a, pairs_d):
+            pairs = core(v)
+            assert np.shares_memory(_by_smaller(pairs), pairs)
+
+
 def small_config(**overrides):
     base = dict(
         n_receivers=40,
@@ -382,6 +421,10 @@ class TestRunScenario:
         # one matching rho is enough
         rep = run_scenario(small_config(rho_set=(0.5, 0.8), n_trials=1), table=table)
         assert any(r.gain > 0 for r in rep.records)
+
+    def test_rho_off_the_hundredths_rejected(self, table):
+        with pytest.raises(ParameterError, match="multiple of 0.01, got 0.803"):
+            run_scenario(small_config(rho_set=(0.8, 0.803)), table=table)
 
     @pytest.mark.parametrize("key, value", [
         ("snr_max_grid", ()), ("snr_max_grid", ("10",)), ("snr_max_grid", (float("nan"),)),
