@@ -33,6 +33,7 @@ __all__ = [
     "attenuation_at_disk_fraction",
     "sample_weather",
     "generate_population",
+    "generate_populations",
     "write_population",
     "read_population",
     "default_weather_cdf",
@@ -241,8 +242,12 @@ def default_weather_cdf() -> WeatherCdf:
 
 def sample_weather(cdf: WeatherCdf, rng, size=None):
     """Inverse-CDF draws with linear interpolation between breakpoints."""
-    rng = np.random.default_rng(rng)
-    u = rng.random(size)
+    return _weather_at(cdf, np.random.default_rng(rng).random(size))
+
+
+def _weather_at(cdf: WeatherCdf, u):
+    """The attenuation at cumulative probability ``u``, interpolated
+    linearly between breakpoints."""
     probs = np.array([p for _, p in cdf.points])
     attens = np.array([a for a, _ in cdf.points])
     return np.interp(u, probs, attens)
@@ -276,6 +281,34 @@ def generate_population(
     receiver is its own population entry.  For weights above 1 the
     terminal count is kept even so the population can always be paired,
     at the cost of a dropped terminal when the split comes out odd.
+
+    This is the one-row call of ``generate_populations``.
+    """
+    stack = generate_populations(n, snr_max_db, beam, cdf, professional_share,
+                                 professional_weight, seeds=(seed,))
+    return Population(*(a[0] for a in stack))
+
+
+def generate_populations(
+    n: int,
+    snr_max_db: float,
+    beam: BeamConfig,
+    cdf: WeatherCdf,
+    professional_share: float = 0.0,
+    professional_weight: int = 1,
+    *,
+    seeds,
+) -> Population:
+    """``generate_population`` for each of ``seeds``, stacked: row t of
+    each (len(seeds), terminals) array is the population of ``seeds[t]``,
+    bit for bit.
+
+    Each row draws from its own generator, in the same order: the
+    locations, then the weather.  The arithmetic after the draws runs
+    once on the whole stack; every step of it is element by element, and
+    ``bessel_j1`` sums to the same bits however its input is split.
+    ``weight`` and ``professional`` are the same in every row and come
+    as read-only broadcast views.
     """
     if n < 2 or n % 2:
         raise ParameterError(f"n must be even and >= 2, got {n}")
@@ -292,13 +325,19 @@ def generate_population(
         else:
             prof_terms -= 1
     total = personal + prof_terms
-    rng = np.random.default_rng(seed)
-    loc = attenuation_at_disk_fraction(np.sqrt(rng.random(total)), beam)
-    weather = sample_weather(cdf, rng, total)
-    snr = snr_max_db - loc - weather
+    # one row of uniform draws per seed for the locations, one for the weather
+    u = np.empty((2, len(seeds), total))
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.random(out=u[0, row])
+        rng.random(out=u[1, row])
+    loc = attenuation_at_disk_fraction(np.sqrt(u[0]), beam)
+    snr = snr_max_db - loc - _weather_at(cdf, u[1])
+    snr[:, :prof_terms] += PROFESSIONAL_OFFSET_DB
     professional = np.arange(total) < prof_terms
-    snr[professional] += PROFESSIONAL_OFFSET_DB
-    return Population(snr, np.where(professional, professional_weight, 1), professional)
+    weight = np.where(professional, professional_weight, 1)
+    return Population(snr, np.broadcast_to(weight, snr.shape),
+                      np.broadcast_to(professional, snr.shape))
 
 
 def write_population(population: Population, path: str | os.PathLike) -> None:

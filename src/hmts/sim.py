@@ -13,18 +13,24 @@ from __future__ import annotations
 
 import csv
 import functools
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._csv import atomic_writer
-from .capacity import ThresholdTable, _parse_hier_rho, best_entry, default_table
-from .channel import BeamConfig, WeatherCdf, default_weather_cdf, generate_population, write_population
+from .capacity import ThresholdTable, _parse_hier_rho, default_table
+from .channel import (
+    BeamConfig,
+    Population,
+    WeatherCdf,
+    default_weather_cdf,
+    generate_populations,
+    write_population,
+)
 from .errors import DegenerateRateError, ParameterError
 from .pairing import STRATEGIES, check_snrs, pair_positions
-from .rates import hierarchical_gain
+from .rates import PairRateCache, _check_weights, hierarchical_gain
 
 __all__ = [
     "ScenarioConfig",
@@ -77,6 +83,16 @@ class ScenarioConfig:
             ) or len(set(values)) < len(values):
                 raise ParameterError(f"{name} must be a nonempty list of distinct numbers in "
                                      f"[{low}, {high}], got {values!r}")
+        # _trial_seed keys a trial on snr_max and share in thousandths: a
+        # value off them, or two values with one key, would share populations
+        for name in ("snr_max_grid", "professional_share_grid"):
+            values = getattr(self, name)
+            keys = [round(v * 1000) for v in values]
+            for v, key in zip(values, keys):
+                if abs(v - key / 1000) > 1e-9:
+                    raise ParameterError(f"{name} values must be multiples of 0.001, got {v!r}")
+            if len(set(keys)) < len(keys):
+                raise ParameterError(f"{name} repeats a value, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -148,186 +164,10 @@ class GainReport:
                 )
 
 
-# rows per call of _max_min_rates in a pair-table build: the shipped
-# table's 2,865 offer pairs fill in three passes; one pass of all of them
-# is barely faster and holds about 1 MiB more of temporaries at its peak
-_SLICE = 1024
-
-
-class PairRateCache:
-    """Dense rate tables for one threshold table, looked up by arrays.
-
-    Thresholds quantise the SNR axis: two SNRs falling between the same
-    adjacent thresholds decode exactly the same modcod sets, so every
-    rate is a function of the threshold bucket.  The constructor keeps,
-    per bucket, the best single-stream efficiency and the best HE and LE
-    efficiency of each hierarchical modulation (0 where nothing
-    decodes).  The pair rates of all bucket pairs are tabulated for a
-    weight pair on its first lookup.
-    """
-
-    def __init__(self, table: ThresholdTable):
-        self.table = table
-        self._breaks = np.array(sorted({e.threshold_db for e in table.entries}))
-        # bucket b decodes exactly the entries with threshold <= breaks[b - 1]
-        snrs = [-math.inf, *self._breaks.tolist()]
-        mods = table.hierarchical_modulations()
-        self._single = np.array(_best_efficiencies(table.singles(), snrs))
-        # what each bucket offers as the worse and as the better receiver
-        self._lo = np.column_stack(
-            [self._single, *(_best_efficiencies(table.entries_for(m, "HE"), snrs) for m in mods)]
-        )
-        self._hi = np.column_stack(
-            [self._single, *(_best_efficiencies(table.entries_for(m, "LE"), snrs) for m in mods)]
-        )
-        self._pair_tables: dict[tuple[int, int], np.ndarray] = {}
-
-    def _buckets(self, snr_db) -> np.ndarray:
-        """Threshold bucket of each SNR: the number of thresholds <= it."""
-        snr = np.asarray(snr_db, dtype=float)
-        # searchsorted would file NaN into the top bucket
-        if np.isnan(snr).any():
-            raise ParameterError("snr_db must not be NaN")
-        return np.searchsorted(self._breaks, snr, side="right")
-
-    def best_single_rate(self, snr_db):
-        """Best single-stream rate at each SNR (0 where nothing decodes)."""
-        return self._single[self._buckets(snr_db)]
-
-    def pair_rate(self, snr1, snr2, w1=1, w2=1):
-        """Best common per-receiver rate of each pair (weighted equal
-        rate); the arguments broadcast against each other."""
-        s1, s2 = np.asarray(snr1, dtype=float), np.asarray(snr2, dtype=float)
-        b1, b2 = self._buckets(s1), self._buckets(s2)
-        w1, w2 = _check_weights(w1), _check_weights(w2)
-        swap = s1 > s2
-        b_lo, b_hi, w_lo, w_hi = np.broadcast_arrays(
-            np.where(swap, b2, b1), np.where(swap, b1, b2),
-            np.where(swap, w2, w1), np.where(swap, w1, w2),
-        )
-        if w_lo.size and w_lo.min() == w_lo.max() and w_hi.min() == w_hi.max():
-            # one weight pair, the usual case: no masks
-            return self._pair_table(int(w_lo.flat[0]), int(w_hi.flat[0]))[b_lo, b_hi]
-        out = np.empty(b_lo.shape)
-        for u, v in set(zip(w_lo.ravel().tolist(), w_hi.ravel().tolist())):
-            sel = (w_lo == u) & (w_hi == v)
-            out[sel] = self._pair_table(u, v)[b_lo[sel], b_hi[sel]]
-        return out[()]
-
-    def _pair_table(self, w_lo: int, w_hi: int) -> np.ndarray:
-        """Pair rates [b_lo, b_hi], meaningful for b_lo <= b_hi; each
-        distinct (worse, better) offer pair is computed once."""
-        table = self._pair_tables.get((w_lo, w_hi))
-        if table is None:
-            lo_offers, lo_id = _distinct_rows(self._lo)
-            hi_offers, hi_id = _distinct_rows(self._hi)
-            needed = np.zeros((len(lo_offers), len(hi_offers)), dtype=bool)
-            for b, offer in enumerate(lo_id):  # the buckets b_hi >= b_lo
-                needed[offer, hi_id[b:]] = True
-            i, j = np.nonzero(needed)
-            rates = np.full(needed.shape, np.nan)
-            # in slices, so that the pass's temporaries stay small
-            for k in range(0, len(i), _SLICE):
-                ik, jk = i[k:k + _SLICE], j[k:k + _SLICE]
-                rates[ik, jk] = _max_min_rates(lo_offers[ik] / w_lo, hi_offers[jk] / w_hi)
-            table = self._pair_tables[(w_lo, w_hi)] = rates[lo_id[:, None], hi_id]
-        return table
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows, in first-seen order, and each row's index
-    among them."""
-    ids: dict[tuple, int] = {}
-    index = [ids.setdefault(row, len(ids)) for row in map(tuple, rows.tolist())]
-    return np.array(list(ids)), np.array(index)
-
-
-def _best_efficiencies(entries, snrs) -> list[float]:
-    """Efficiency of ``capacity.best_entry`` at each SNR, 0 where nothing
-    decodes."""
-    best = [best_entry(entries, s) for s in snrs]
-    return [e.spectral_efficiency if e else 0.0 for e in best]
-
-
-def _check_weights(weight) -> np.ndarray:
-    w = np.asarray(weight)
-    if w.dtype.kind not in "iu" or (w < 1).any():
-        raise ParameterError(f"weights must be integers >= 1, got {weight!r}")
-    return w
-
-
-def _max_min_rates(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``rates.max_min_weighted`` of many point sets at once, value for
-    value.
-
-    Row k of ``lo`` holds (single, HE of each hierarchical modulation)
-    of the worse receiver and row k of ``hi`` (single, LE of each) of
-    the better one, both divided by the weights; 0 means nothing
-    decodes.  The point set is ``rates.augmented_hull``'s.  Its lower
-    chain is always the origin, (max x, 0) and (max x, max y there):
-    every pop decision on the way multiplies by an exact zero.  Those
-    two edges give 0 and the min of the upper chain's first vertex, so
-    the max over the hull is the max over the upper chain's edges,
-    including the closing edge to the origin.  The upper chain is
-    rebuilt here with the same sort, the same cross products and the
-    same pops, and each edge gets ``rates._segment_best_min``'s
-    arithmetic, so no value is computed another way.
-
-    ``rates.max_min_weighted`` stays for single pairs: one row here
-    costs about 0.9 ms, one pair there about 35 us.
-    """
-    n, k = lo.shape[0], lo.shape[1] - 1
-    both = (lo[:, 1:] > 0) & (hi[:, 1:] > 0)
-    # each point as x + iy: the origin, the two single points, each
-    # hierarchical point and its two projections; a missing point falls
-    # on the origin
-    p = np.zeros((n, 3 + 3 * k), dtype=complex)
-    p.real[:, 1] = lo[:, 0]
-    p.imag[:, 2] = hi[:, 0]
-    p.real[:, 3:3 + k] = p.real[:, 3 + k:3 + 2 * k] = np.where(both, lo[:, 1:], 0.0)
-    p.imag[:, 3:3 + k] = p.imag[:, 3 + 2 * k:] = np.where(both, hi[:, 1:], 0.0)
-    # numpy orders complex values by real part, then imaginary part: the
-    # ascending (x, y) order, sorted in place; equal points are equal
-    # values, so reversing gives reversed(sorted(...))'s sequence
-    p.sort(axis=1)
-    x, y = p.real[:, ::-1], p.imag[:, ::-1]
-    distinct = np.ones(x.shape, dtype=bool)
-    distinct[:, 1:] = (x[:, 1:] != x[:, :-1]) | (y[:, 1:] != y[:, :-1])
-
-    rows = np.arange(n)
-    # the chain of each row; a chain is convex, so its vertices are hull
-    # vertices of the points so far: at most two on each axis and the k
-    # hierarchical points
-    sx, sy = np.zeros((n, k + 4)), np.zeros((n, k + 4))
-    top = np.zeros(n, dtype=np.intp)
-    for col in range(x.shape[1]):
-        px, py = x[:, col], y[:, col]
-        live = rows[distinct[:, col]]
-        pending = live[top[live] >= 2]
-        while pending.size:
-            h = top[pending]
-            ox, oy = sx[pending, h - 2], sy[pending, h - 2]
-            ax, ay = sx[pending, h - 1], sy[pending, h - 1]
-            bx, by = px[pending], py[pending]
-            pending = pending[(ax - ox) * (by - oy) - (ay - oy) * (bx - ox) <= 0]
-            top[pending] -= 1
-            pending = pending[top[pending] >= 2]
-        h = top[live]
-        sx[live, h], sy[live, h] = px[live], py[live]
-        top[live] += 1
-
-    best = np.zeros(n)
-    for e in range(1, top.max()):  # the edge from vertex e - 1 to vertex e
-        px, py, qx, qy = sx[:, e - 1], sy[:, e - 1], sx[:, e], sy[:, e]
-        seg = np.maximum(np.minimum(px, py), np.minimum(qx, qy))
-        dx, dy = qx - px, qy - py
-        denom = dx - dy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (py - px) / denom
-        crosses = (denom != 0.0) & (0.0 < t) & (t < 1.0)
-        seg = np.where(crosses, np.maximum(seg, px + t * dx), seg)
-        best = np.where(top > e, np.maximum(best, seg), best)
-    return best
+# trials x receivers per batch of run_scenario, 16 trials of 500: on the
+# heterogeneous preset (100 trials a point), batches of 1 << 16 were no
+# faster and raised the peak memory by 8.3 MiB (BENCH_17.json)
+_BATCH = 1 << 13
 
 
 def run_trial(snr_db, weight, strategy: str, table, seed=0):
@@ -343,51 +183,105 @@ def run_trial(snr_db, weight, strategy: str, table, seed=0):
 
 
 def _run_trials(snr_db, weight, strategies, table, seed=0) -> list[tuple]:
-    """``run_trial`` of one population under each of ``strategies``, in
-    one pass: the checks, the classical rate, the sort and the solo
-    receiver are done once, and each strategy's pairs are looked up in
-    one ``pair_rate`` call for all of them."""
+    """``run_trial`` of one population under each of ``strategies``: the
+    one-row call of ``_run_batch``."""
+    snr, weight = np.asarray(snr_db, dtype=float), np.asarray(weight)
+    if snr.ndim != 1 or weight.shape != snr.shape:
+        raise ParameterError("run_trial needs one weight per SNR, as 1-D arrays")
+    outcomes, error = _run_batch(snr[None], weight[None], strategies, table, (seed,))
+    if error is not None:
+        raise error
+    return outcomes[0]
+
+
+def _run_batch(snr_db, weight, strategies, table, seeds):
+    """``_run_trials`` of a stack of populations, one per row of the
+    (trials, terminals) arrays ``snr_db`` and ``weight``; row t draws
+    strategy C's pairs from ``seeds[t]``.
+
+    Returns the outcomes of the rows before the first population that
+    decodes nothing, and that population's ``DegenerateRateError`` (None
+    if there is none).  The checks, the rating, the classical rate, the
+    sort, the solo receiver, the pair lookup and the harmonic sums run
+    once on the whole stack; only the strategies' cores run per row.
+    Every value equals the one a row gets on its own: the sums run left
+    to right along a row, and the zeros that pad them change no bit.
+    """
     for strategy in strategies:
         if strategy not in STRATEGIES:
             raise ParameterError(f"unknown strategy {strategy!r}")
     snr = np.asarray(snr_db, dtype=float)
     weight = _check_weights(weight)
-    if snr.ndim != 1 or weight.shape != snr.shape:
-        raise ParameterError("run_trial needs one weight per SNR, as 1-D arrays")
     if not np.isfinite(snr).all():
         raise ParameterError("snr_db must be finite")
     cache = table if isinstance(table, PairRateCache) else PairRateCache(table)
-    rates = cache.best_single_rate(snr)
-    decodes = rates > 0
-    excluded = tuple(np.flatnonzero(~decodes).tolist())
-    active = np.flatnonzero(decodes)
-    if not active.size:
-        raise DegenerateRateError(
-            "no receiver can decode any modcod", receivers=excluded
-        )
+    n = snr.shape[1]
+    # rates grow with the SNR, so a row's receivers that decode nothing
+    # come first in its sort (by SNR, then index), and the rest is the
+    # row's pool; the search for the rates' buckets is faster on sorted
+    # SNRs
+    order = np.argsort(snr, axis=1, kind="stable")
+    v_all = np.take_along_axis(snr, order, axis=1)
+    w_all = np.take_along_axis(weight, order, axis=1)
+    rates = cache.best_single_rate(v_all)
+    n_excluded = n - np.count_nonzero(rates > 0, axis=1)
+    error = None
+    dead = np.flatnonzero(n_excluded == n)
+    if dead.size:
+        error = DegenerateRateError("no receiver can decode any modcod", receivers=range(n))
+        order, v_all, w_all, rates, n_excluded = (
+            a[:dead[0]] for a in (order, v_all, w_all, rates, n_excluded))
+    n_trials = len(order)
+    if not n_trials:
+        return [], error
+    inv = np.divide(w_all, rates, out=np.zeros(rates.shape), where=rates > 0)
     # np.cumsum adds left to right, as the reference run_trial_scalar in
-    # tests/oracles.py does; np.sum adds pairwise, which rounds differently
-    classical = float(1.0 / np.cumsum(weight[active] / rates[active])[-1])
-
-    pool = active[np.argsort(snr[active], kind="stable")]
-    solo = np.empty(0)
-    if len(pool) % 2:
-        middle = pool[len(pool) // 2]  # keep the middle receiver single
-        pool = np.delete(pool, len(pool) // 2)
-        solo = np.array([weight[middle] / rates[middle]])
-    # per strategy: the solo receiver, then each pair's inverse rate, the
+    # tests/oracles.py does (np.sum adds pairwise, which rounds
+    # differently), and the classical sum runs in index order
+    by_index = np.empty_like(inv)
+    np.put_along_axis(by_index, order, inv, axis=1)
+    classical = 1.0 / np.cumsum(by_index, axis=1)[:, -1]
+    pool = n - n_excluded
+    # the middle receiver of an odd pool stays single; column 0 of each
+    # strategy's harmonic sum is its inverse rate, or 0
+    middle = n_excluded + pool // 2
+    solo = np.where(pool % 2 == 1, inv[np.arange(n_trials), middle], 0.0)
+    if pool.max() >= 2 and (w_all == w_all.flat[0]).all():
+        # one weight, as in every preset: the lookup's one pair table is
+        # filled before the pairs are gathered, so that the fill's
+        # temporaries and the gathered arrays are not held at once
+        cache.pair_table(int(w_all.flat[0]), int(w_all.flat[0]))
+    # per row and strategy, each pair's two SNRs and two weights, the
     # pairs in ascending order of their smaller position in the pool
-    inv = np.zeros((len(strategies), len(pool) // 2))
-    if pool.size:
-        v, w = check_snrs(snr[pool]), weight[pool]
-        lo, hi = np.concatenate(
-            [_by_smaller(pair_positions(s, v, seed)) for s in strategies], axis=1
+    n_pairs = (pool // 2).repeat(len(strategies))
+    snrs = np.empty((2, n_pairs.sum()))
+    weights = np.empty(snrs.shape, dtype=w_all.dtype)
+    end = 0
+    for t, (first, mid, v, w) in enumerate(zip(n_excluded.tolist(), middle.tolist(),
+                                               v_all, w_all)):
+        v, w = v[first:], w[first:]
+        if len(v) % 2:
+            v, w = np.delete(v, mid - first), np.delete(w, mid - first)
+        if not v.size:
+            continue
+        v = check_snrs(v)
+        pairs = np.concatenate(
+            [_by_smaller(pair_positions(s, v, seeds[t])) for s in strategies], axis=1
         )
-        inv = 1.0 / cache.pair_rate(v[lo], v[hi], w[lo], w[hi]).reshape(inv.shape)
-    inv = np.hstack((np.broadcast_to(solo, (len(strategies), solo.size)), inv))
-    hier = 1.0 / np.cumsum(inv, axis=1)[:, -1]
-    gains = hierarchical_gain(hier, classical)
-    return [(classical, h, g, excluded) for h, g in zip(hier.tolist(), gains.tolist())]
+        start, end = end, end + pairs.shape[1]
+        snrs[:, start:end], weights[:, start:end] = v[pairs], w[pairs]
+    pair_inv = 1.0 / cache.pair_rate(*snrs, *weights)
+    sums = np.zeros((n_pairs.size, 1 + n // 2))
+    sums[:, 0] = solo.repeat(len(strategies))
+    sums[:, 1:][np.arange(n // 2) < n_pairs[:, None]] = pair_inv
+    hier = 1.0 / np.cumsum(sums, axis=1)[:, -1].reshape(n_trials, len(strategies))
+    gains = hierarchical_gain(hier, classical[:, None])
+    outcomes = []
+    for t, (e, c, h, g) in enumerate(zip(n_excluded.tolist(), classical.tolist(),
+                                          hier.tolist(), gains.tolist())):
+        excluded = tuple(np.sort(order[t, :e]).tolist()) if e else ()
+        outcomes.append([(c, *hg, excluded) for hg in zip(h, g)])
+    return outcomes, error
 
 
 def _by_smaller(pairs: np.ndarray) -> np.ndarray:
@@ -438,31 +332,42 @@ def run_scenario(
     if beam is None:
         beam = BeamConfig()
     shares = (0.0,) if mode == "homogeneous" else tuple(cfg.professional_share_grid)
+    per_batch = max(1, _BATCH // cfg.n_receivers)
     records = []
     for snr_max in cfg.snr_max_grid:
         for share in shares:
-            for trial in range(cfg.n_trials):
-                ss = _trial_seed(cfg.seed, snr_max, share, trial)
-                pop_seed, strat_seed = ss.spawn(2)
-                population = generate_population(
+            for start in range(0, cfg.n_trials, per_batch):
+                trials = range(start, min(start + per_batch, cfg.n_trials))
+                seeds = [_trial_seed(cfg.seed, snr_max, share, trial).spawn(2) for trial in trials]
+                populations = generate_populations(
                     cfg.n_receivers, snr_max, beam, weather,
                     professional_share=share,
                     professional_weight=cfg.professional_weight,
-                    seed=pop_seed,
+                    seeds=[pop_seed for pop_seed, _ in seeds],
+                )
+                outcomes, error = _run_batch(
+                    populations.snr_db, populations.weight, cfg.strategies, cache,
+                    [strat_seed for _, strat_seed in seeds],
                 )
                 if population_dir is not None:
-                    name = f"population_snr{snr_max:g}_share{share:g}_trial{trial}.csv"
-                    write_population(population, os.path.join(population_dir, name))
-                trials = _run_trials(
-                    population.snr_db, population.weight, cfg.strategies, cache, seed=strat_seed
-                )
-                for strategy, (classical, hier, gain, excluded) in zip(cfg.strategies, trials):
-                    records.append(
+                    # as far as a trial-by-trial run gets: through the
+                    # population that decodes nothing, if there is one
+                    done = len(outcomes) + (error is not None)
+                    for trial, population in zip(trials[:done], zip(*populations)):
+                        name = f"population_snr{snr_max:g}_share{share:g}_trial{trial}.csv"
+                        write_population(Population(*population),
+                                         os.path.join(population_dir, name))
+                if error is not None:
+                    raise error
+                for trial, outcome in zip(trials, outcomes):
+                    records.extend(
                         GainRecord(
                             snr_max_db=snr_max, strategy=strategy, share=share,
                             trial=trial, classical_rate=classical,
                             hier_rate=hier, gain=gain, n_excluded=len(excluded),
                         )
+                        for strategy, (classical, hier, gain, excluded)
+                        in zip(cfg.strategies, outcome)
                     )
     return GainReport(records=tuple(records))
 

@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from hmts import capacity
+from hmts import capacity, channel
 from hmts.capacity import default_table
 from hmts.channel import BeamConfig
 from hmts.cli import main, resolve_settings
@@ -461,6 +461,48 @@ class TestSimulateCommand:
             ["--out-dir", str(tmp_path), "--config", str(cfg), "simulate"], capsys
         )
         assert code == 3
+
+    def test_degenerate_trial_inside_a_batch_exit_3(self, tmp_path, capsys):
+        # at 1 dB, trial 27 is the first of two receivers that decode
+        # nothing; the trials before it are dumped, and it is, as one
+        # trial at a time would dump them, and no report is written
+        cfg = write_tiny_config(
+            tmp_path / "cfg.json",
+            seed=1,
+            scenario={"n_receivers": 2, "n_trials": 40, "snr_max_grid": [10.0, 1.0],
+                      "strategies": ["A", "C"]},
+        )
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            ["--out-dir", str(out), "--config", str(cfg), "simulate", "--dump-populations"],
+            capsys,
+        )
+        assert code == 3
+        assert err == "error: no receiver can decode any modcod\nreceivers: [0, 1]\n"
+        dumped = {p.name for p in (out / "populations").iterdir()}
+        assert dumped == (
+            {f"population_snr10_share0_trial{t}.csv" for t in range(40)}
+            | {f"population_snr1_share0_trial{t}.csv" for t in range(28)}
+        )
+        lowest = min(e.threshold_db for e in default_table().singles())
+        last = channel.read_population(out / "populations" / "population_snr1_share0_trial27.csv")
+        assert (last.snr_db < lowest).all()
+        assert not (out / "report.csv").exists()
+
+    def test_sweep_value_off_the_thousandths_exit_2(self, tmp_path, capsys):
+        # keyed in thousandths, 10.0004 would draw 10.0's populations
+        cfg = write_tiny_config(
+            tmp_path / "cfg.json",
+            scenario={"n_receivers": 20, "n_trials": 1, "snr_max_grid": [10.0, 10.0004],
+                      "strategies": ["A"]},
+        )
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            ["--out-dir", str(out), "--config", str(cfg), "simulate"], capsys
+        )
+        assert code == 2
+        assert err == "error: snr_max_grid values must be multiples of 0.001, got 10.0004\n"
+        assert not out.exists()
 
     def test_missing_preset_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -8,19 +8,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hmts import sim
 from hmts.capacity import DVBS2_CODE_RATES, ModCod, ThresholdTable, default_table
-from hmts.channel import BeamConfig, default_weather_cdf, generate_population
+from hmts.channel import BeamConfig, default_weather_cdf, generate_population, generate_populations
+from hmts.cli import load_config
 from hmts.errors import DegenerateRateError, ParameterError
 from hmts.pairing import pairs_a, pairs_b, pairs_d
-from hmts.rates import RatePair, max_min_weighted, operating_points, pair_gain
+from hmts.rates import RatePair, _max_min_rates, max_min_weighted, operating_points, pair_gain
 from hmts.sim import (
     GainRecord,
     GainReport,
     PairRateCache,
     ScenarioConfig,
     _by_smaller,
-    _max_min_rates,
+    _run_batch,
     _run_trials,
+    _trial_seed,
     run_scenario,
     run_trial,
     summarize,
@@ -340,6 +343,131 @@ class TestSharedTrial:
             _run_trials([1e3, 1e200, 7.0], [1, 1, 1], tuple("ABCD"), cache)
 
 
+def scalar_outcome(snrs, weights, strategies, table, seed):
+    """Each strategy's run_trial_scalar tuple, or the DegenerateRateError
+    it raises."""
+    try:
+        return [run_trial_scalar(snrs, weights, s, table, seed=seed) for s in strategies]
+    except DegenerateRateError as exc:
+        return exc
+
+
+class TestBatch:
+    """A stack of populations gives, row by row, the scalar reference
+    trials, up to the first row that decodes nothing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 41),
+        n_excluded=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+        weight_max=st.integers(1, 3),
+        step_db=st.sampled_from([0.0, 0.1, 0.5, 2.0]),
+        strategy_seed=st.integers(0, 3),
+    )
+    # excluded counts that differ per row, odd and even pools, weights
+    # above 1 and tied SNRs, then a row that decodes nothing
+    @example(seed=4, n=28, n_excluded=[3, 0, 4, 1, 28], weight_max=3, step_db=0.5,
+             strategy_seed=1)
+    def test_rows_equal_scalar_trials(self, table, cache, seed, n, n_excluded, weight_max,
+                                      step_db, strategy_seed):
+        rows = [drawn_population(seed + r, n - min(e, n), min(e, n), weight_max, step_db)
+                for r, e in enumerate(n_excluded)]
+        snrs, weights = np.stack([s for s, _ in rows]), np.stack([w for _, w in rows])
+        seeds = [strategy_seed + r for r in range(len(rows))]
+        outcomes, error = _run_batch(snrs, weights, tuple("ABCD"), cache, seeds)
+        want = [scalar_outcome(s, w, "ABCD", table, seed) for s, w, seed in zip(snrs, weights, seeds)]
+        dead = [isinstance(w, DegenerateRateError) for w in want]
+        first = dead.index(True) if any(dead) else len(rows)
+        assert outcomes == want[:first]
+        if any(dead):
+            assert error.receivers == want[first].receivers == tuple(range(n))
+        else:
+            assert error is None
+
+    def test_example_covers_each_case(self, cache):
+        rows = [drawn_population(4 + r, 28 - e, e, 3, 0.5)
+                for r, e in enumerate((3, 0, 4, 1, 28))]
+        # pools of 25, 28, 24 and 27 receivers, then one of none
+        assert [int((cache.best_single_rate(s) == 0).sum()) for s, _ in rows] == [3, 0, 4, 1, 28]
+        assert all(w.max() > 1 and len(set(s.tolist())) < len(s) for s, w in rows[:4])
+
+    @pytest.mark.parametrize("n, share, weight", [
+        (120, 0.3, 3),  # a weight of 3 keeps the terminal count even
+        (120, 0.05, 2),  # 3 professional terminals: one personal terminal is dropped
+        (50, 0.5, 3),
+    ])
+    def test_weighted_populations_equal_scalar_trials(self, table, cache, n, share, weight):
+        seeds = [np.random.SeedSequence((n, t)) for t in range(4)]
+        populations = generate_populations(n, 3.0, BeamConfig(), default_weather_cdf(),
+                                           share, weight, seeds=seeds)
+        assert populations.weight.sum(axis=1).tolist() == [n - (weight == 2)] * 4
+        outcomes, error = _run_batch(*populations[:2], tuple("ABCD"), cache, seeds)
+        assert error is None
+        assert any(o[0][3] for o in outcomes)  # some receivers decode nothing at 3 dB
+        for snrs, weights, seed, outcome in zip(*populations[:2], seeds, outcomes):
+            assert outcome == scalar_outcome(snrs, weights, "ABCD", table, seed)
+
+    @pytest.mark.parametrize("preset", ["homogeneous_500", "heterogeneous_500"])
+    def test_generation_equals_one_population_at_a_time(self, preset):
+        config = load_config(preset)
+        cfg = ScenarioConfig(**config["scenario"], seed=config["seed"])
+        shares = (cfg.professional_share_grid if config["mode"] == "heterogeneous" else (0.0,))
+        beam, weather = BeamConfig(), default_weather_cdf()
+        for snr_max in cfg.snr_max_grid:
+            for share in shares:
+                seeds = [_trial_seed(cfg.seed, snr_max, share, t).spawn(2)[0]
+                         for t in range(cfg.n_trials)]
+                stack = generate_populations(cfg.n_receivers, snr_max, beam, weather, share,
+                                             cfg.professional_weight, seeds=seeds)
+                for row, seed in enumerate(seeds):
+                    one = generate_population(cfg.n_receivers, snr_max, beam, weather, share,
+                                              cfg.professional_weight, seed=seed)
+                    for a, b in zip(one, stack):
+                        assert a.dtype == b.dtype and a.tobytes() == b[row].tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 40 * 2, 40 * 3])
+    def test_batch_split_changes_nothing(self, table, tmp_path, monkeypatch, cells):
+        cfg = small_config(n_trials=7, strategies=tuple("ABCD"))
+        whole = run_scenario(cfg, "heterogeneous", table=table, population_dir=tmp_path / "whole")
+        monkeypatch.setattr(sim, "_BATCH", cells)
+        split = run_scenario(cfg, "heterogeneous", table=table, population_dir=tmp_path / "split")
+        assert split.records == whole.records
+        for path in (tmp_path / "whole").iterdir():
+            assert (tmp_path / "split" / path.name).read_bytes() == path.read_bytes()
+        assert len(list((tmp_path / "split").iterdir())) == 2 * 2 * 7
+
+    @pytest.mark.parametrize("cells", [1, 2 * 5, 2 * 28])
+    def test_batch_split_keeps_the_degenerate_trial(self, table, tmp_path, monkeypatch, cells):
+        # at 1 dB the first trial of two receivers that decode nothing is
+        # trial 27; the populations through it are dumped, however split
+        cfg = small_config(n_receivers=2, n_trials=40, snr_max_grid=(1.0,),
+                           strategies=("A", "C"), seed=1)
+        monkeypatch.setattr(sim, "_BATCH", cells)
+        with pytest.raises(DegenerateRateError) as err:
+            run_scenario(cfg, table=table, population_dir=tmp_path)
+        assert err.value.receivers == (0, 1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"population_snr1_share0_trial{t}.csv" for t in range(28))
+
+    def test_one_weight_fills_its_one_pair_table_first(self, table):
+        snrs = np.stack([drawn_population(r, 30, 2, 1, 0.0)[0] for r in range(3)])
+        fresh = PairRateCache(table)
+        _run_batch(snrs, np.ones(snrs.shape, dtype=int), ("A",), fresh, range(3))
+        assert list(fresh._pair_tables) == [(1, 1)]
+        # pools of one receiver make no pairs, and fill no table
+        lone = PairRateCache(table)
+        _run_batch(np.array([[5.0, -9.0], [-8.0, 7.0]]), np.ones((2, 2), dtype=int), ("A",),
+                   lone, range(2))
+        assert not lone._pair_tables
+
+    def test_stacked_weight_and_class_are_views(self):
+        stack = generate_populations(20, 10.0, BeamConfig(), default_weather_cdf(), 0.5, 2,
+                                     seeds=range(3))
+        assert stack.snr_db.shape == stack.weight.shape == stack.professional.shape == (3, 14)
+        assert not stack.weight.flags.writeable and not stack.professional.flags.writeable
+
+
 class TestBySmaller:
     @staticmethod
     def by_sorting(pairs):
@@ -435,7 +563,8 @@ class TestRunScenario:
         ("snr_max_grid", (10.0, 10)), ("professional_share_grid", (0.5, 0.2, 0.5)),
         ("rho_set", [0.8, np.float64(0.8)]), ("strategies", "AB"), ("strategies", ()),
         ("strategies", ("A", "A")), ("strategies", ("E",)), ("strategies", (["A"],)),
-        ("strategies", None),
+        ("strategies", None), ("snr_max_grid", (10.0, 10.0004)),
+        ("professional_share_grid", (0.1, 0.1004)), ("snr_max_grid", (10.0, 10.0 + 1e-10)),
     ])
     def test_invalid_sweeps(self, key, value):
         with pytest.raises(ParameterError, match=key):
