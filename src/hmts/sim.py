@@ -246,16 +246,13 @@ def _run_batch(snr_db, weight, strategies, table, seeds):
     # strategy's harmonic sum is its inverse rate, or 0
     middle = n_excluded + pool // 2
     solo = np.where(pool % 2 == 1, inv[np.arange(n_trials), middle], 0.0)
-    if pool.max() >= 2 and (w_all == w_all.flat[0]).all():
-        # one weight, as in every preset: the lookup's one pair table is
-        # filled before the pairs are gathered, so that the fill's
-        # temporaries and the gathered arrays are not held at once
-        cache.pair_table(int(w_all.flat[0]), int(w_all.flat[0]))
     # per row and strategy, each pair's two SNRs and two weights, the
     # pairs in ascending order of their smaller position in the pool
     n_pairs = (pool // 2).repeat(len(strategies))
     snrs = np.empty((2, n_pairs.sum()))
-    weights = np.empty(snrs.shape, dtype=w_all.dtype)
+    # one weight, as in every preset, goes to pair_rate as it is
+    one_weight = (w_all == w_all.flat[0]).all()
+    weights = np.full((2, 1), w_all.flat[0]) if one_weight else np.empty(snrs.shape, w_all.dtype)
     end = 0
     for t, (first, mid, v, w) in enumerate(zip(n_excluded.tolist(), middle.tolist(),
                                                v_all, w_all)):
@@ -269,8 +266,13 @@ def _run_batch(snr_db, weight, strategies, table, seeds):
             [_by_smaller(pair_positions(s, v, seeds[t])) for s in strategies], axis=1
         )
         start, end = end, end + pairs.shape[1]
-        snrs[:, start:end], weights[:, start:end] = v[pairs], w[pairs]
+        snrs[:, start:end] = v[pairs]
+        if not one_weight:
+            weights[:, start:end] = w[pairs]
+    # the batch's memory peaks at the lookup: free what it does not need
+    del v_all, w_all, rates, inv
     pair_inv = 1.0 / cache.pair_rate(*snrs, *weights)
+    del snrs, weights
     sums = np.zeros((n_pairs.size, 1 + n // 2))
     sums[:, 0] = solo.repeat(len(strategies))
     sums[:, 1:][np.arange(n // 2) < n_pairs[:, None]] = pair_inv
@@ -327,6 +329,11 @@ def run_scenario(
         raise ParameterError(
             f"rho_set {list(cfg.rho_set)} matches none of the table's rho values {rhos}")
     cache = PairRateCache(kept)
+    if mode == "homogeneous" or cfg.professional_weight == 1:
+        # every population weighs 1: the one pair table the lookups need
+        # is filled before the first batch's arrays exist, so that the
+        # fill's temporaries and a batch's arrays are not held at once
+        cache.pair_table(1, 1)
     if weather is None:
         weather = default_weather_cdf()
     if beam is None:

@@ -450,16 +450,30 @@ class TestBatch:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             f"population_snr1_share0_trial{t}.csv" for t in range(28))
 
-    def test_one_weight_fills_its_one_pair_table_first(self, table):
-        snrs = np.stack([drawn_population(r, 30, 2, 1, 0.0)[0] for r in range(3)])
-        fresh = PairRateCache(table)
-        _run_batch(snrs, np.ones(snrs.shape, dtype=int), ("A",), fresh, range(3))
-        assert list(fresh._pair_tables) == [(1, 1)]
-        # pools of one receiver make no pairs, and fill no table
-        lone = PairRateCache(table)
-        _run_batch(np.array([[5.0, -9.0], [-8.0, 7.0]]), np.ones((2, 2), dtype=int), ("A",),
-                   lone, range(2))
-        assert not lone._pair_tables
+    @pytest.mark.parametrize("mode, weight, fills_first", [
+        ("homogeneous", 3, True),  # the weight applies to professionals only
+        ("heterogeneous", 1, True),
+        ("heterogeneous", 2, False),
+    ])
+    def test_one_weight_config_fills_its_pair_table_first(self, table, monkeypatch, mode,
+                                                           weight, fills_first):
+        events = []
+        fill, generate = PairRateCache.pair_table, sim.generate_populations
+
+        def pair_table(cache, w_lo, w_hi):
+            if (w_lo, w_hi) not in cache._pair_tables:
+                events.append((w_lo, w_hi))
+            return fill(cache, w_lo, w_hi)
+
+        def generate_populations(*args, **kwargs):
+            events.append("batch")
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(PairRateCache, "pair_table", pair_table)
+        monkeypatch.setattr(sim, "generate_populations", generate_populations)
+        run_scenario(small_config(professional_weight=weight), mode, table=table)
+        assert (events[0] == (1, 1)) == fills_first
+        assert len(set(events) - {"batch"}) == len(events) - events.count("batch")
 
     def test_stacked_weight_and_class_are_views(self):
         stack = generate_populations(20, 10.0, BeamConfig(), default_weather_cdf(), 0.5, 2,
