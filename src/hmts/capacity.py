@@ -89,13 +89,17 @@ def hierarchical_modulation_id(rho_he: float) -> str:
 
 
 def _parse_hier_rho(modulation: str) -> float | None:
+    """rho of a hierarchical table id, or None unless ``modulation`` is
+    the id ``hierarchical_modulation_id`` gives for it: another spelling
+    of the same rho (``H16APSK-0.8``) would not match ``filter_rho``."""
     if not modulation.startswith(_HIER_PREFIX):
         return None
     try:
         rho = float(modulation[len(_HIER_PREFIX):])
-    except ValueError:
+        canonical = hierarchical_modulation_id(rho)
+    except ValueError:  # ParameterError is one
         return None
-    return rho
+    return rho if modulation == canonical else None
 
 
 def hierarchical_constellation(modulation: str) -> Constellation:
@@ -137,8 +141,8 @@ class ModCod:
                 )
         elif not hier:
             raise TableError(
-                f"stream {self.stream} requires a hierarchical modulation id, "
-                f"got {self.modulation!r}"
+                f"stream {self.stream} requires a hierarchical modulation id "
+                f"such as {hierarchical_modulation_id(0.8)!r}, got {self.modulation!r}"
             )
 
     @property

@@ -8,10 +8,10 @@ which is what a stable argsort gives.
 
 Each strategy is one core, ``pairs_a`` to ``pairs_d``, over SNRs already
 sorted that way: it returns pairs of positions into them, as an array.
-``STRATEGIES`` maps the names A-D to the cores.  ``strategy_a`` to
-``strategy_d`` and ``run_strategy`` sort any SNR list, call a core and
-wrap its pairs into a ``PairingPlan``; the simulation calls the cores
-through ``pair_positions`` and builds no plan.
+``STRATEGIES`` maps the names A-D to the cores.  ``run_strategy``
+checks and sorts any SNR list, calls a core and wraps its pairs into a
+``PairingPlan``; the simulation calls the cores through
+``pair_positions`` and builds no plan.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ __all__ = [
     "pairs_c",
     "pairs_d",
     "pair_positions",
-    "strategy_a",
-    "strategy_b",
-    "strategy_c",
-    "strategy_d",
     "delta_upper_bound",
     "STRATEGIES",
     "run_strategy",
@@ -291,41 +287,9 @@ def pair_positions(strategy: str, v, seed=0) -> np.ndarray:
 def run_strategy(strategy: str, snrs, seed=0) -> PairingPlan:
     """Pair ``snrs`` with strategy A-D, looked up in ``STRATEGIES`` at
     each call; only the random strategy C draws from ``seed``."""
-    return _plan(snrs, lambda v: pair_positions(strategy, v, seed))
-
-
-def strategy_a(snrs) -> PairingPlan:
-    """Pair the two receivers with the largest SNR difference, repeat.
-
-    Equivalent to pairing the k-th smallest with the k-th largest; attains
-    the maximum average SNR difference over all perfect matchings.
-    """
-    return _plan(snrs, pairs_a)
-
-
-def strategy_b(snrs) -> PairingPlan:
-    """Pair receivers whose SNR difference is closest to the maximum
-    average difference, greedily (see ``pairs_b``); variance of the
-    per-pair difference is typically much smaller than strategy A's."""
-    return _plan(snrs, pairs_b)
-
-
-def strategy_c(snrs, seed=0) -> PairingPlan:
-    """Uniformly random perfect matching, reproducible per seed."""
-    return _plan(snrs, lambda v: pairs_c(v, seed))
-
-
-def strategy_d(snrs) -> PairingPlan:
-    """Pair the receivers with the closest SNRs (sorted-adjacent); attains
-    the minimum average SNR difference."""
-    return _plan(snrs, pairs_d)
-
-
-def _plan(snrs, positions) -> PairingPlan:
-    """The plan of ``positions`` (a core, given the sorted SNRs) on ``snrs``."""
     snrs = check_snrs(snrs)
     order = np.argsort(snrs, kind="stable")
-    return PairingPlan.from_pairs(snrs, order[positions(snrs[order])])
+    return PairingPlan.from_pairs(snrs, order[pair_positions(strategy, snrs[order], seed)])
 
 
 def delta_upper_bound(histogram) -> float:

@@ -21,6 +21,7 @@ import numpy as np
 from ._csv import atomic_writer
 from .capacity import ThresholdTable, _parse_hier_rho, default_table
 from .channel import (
+    _MAX_WEIGHT,
     BeamConfig,
     Population,
     WeatherCdf,
@@ -64,6 +65,9 @@ class ScenarioConfig:
             integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             if not integer or value < least:
                 raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.professional_weight > _MAX_WEIGHT:
+            raise ParameterError(f"professional_weight must be <= 2**63 - 1, "
+                                 f"got {self.professional_weight!r}")
         if self.n_receivers % 2:
             raise ParameterError("n_receivers must be even and >= 2")
         strategies = self.strategies
@@ -179,33 +183,29 @@ def run_trial(snr_db, weight, strategy: str, table, seed=0):
     receiver; ``excluded`` lists the indices that decode nothing and
     take part in neither scheme.
     """
-    return _run_trials(snr_db, weight, (strategy,), table, seed)[0]
-
-
-def _run_trials(snr_db, weight, strategies, table, seed=0) -> list[tuple]:
-    """``run_trial`` of one population under each of ``strategies``: the
-    one-row call of ``_run_batch``."""
     snr, weight = np.asarray(snr_db, dtype=float), np.asarray(weight)
     if snr.ndim != 1 or weight.shape != snr.shape:
         raise ParameterError("run_trial needs one weight per SNR, as 1-D arrays")
-    outcomes, error = _run_batch(snr[None], weight[None], strategies, table, (seed,))
+    outcomes, error = _run_batch(snr[None], weight[None], (strategy,), table, (seed,))
     if error is not None:
         raise error
-    return outcomes[0]
+    return outcomes[0][0]
 
 
 def _run_batch(snr_db, weight, strategies, table, seeds):
-    """``_run_trials`` of a stack of populations, one per row of the
-    (trials, terminals) arrays ``snr_db`` and ``weight``; row t draws
-    strategy C's pairs from ``seeds[t]``.
+    """``run_trial`` of a stack of populations under each of
+    ``strategies``, one population per row of the (trials, terminals)
+    arrays ``snr_db`` and ``weight``; row t draws strategy C's pairs
+    from ``seeds[t]``.
 
-    Returns the outcomes of the rows before the first population that
-    decodes nothing, and that population's ``DegenerateRateError`` (None
-    if there is none).  The checks, the rating, the classical rate, the
-    sort, the solo receiver, the pair lookup and the harmonic sums run
-    once on the whole stack; only the strategies' cores run per row.
-    Every value equals the one a row gets on its own: the sums run left
-    to right along a row, and the zeros that pad them change no bit.
+    Returns, for each row before the first population that decodes
+    nothing, one ``run_trial`` tuple per strategy, and that population's
+    ``DegenerateRateError`` (None if there is none).  The checks, the
+    rating, the classical rate, the sort, the solo receiver, the pair
+    lookup and the harmonic sums run once on the whole stack; only the
+    strategies' cores run per row.  Every value equals the one a row
+    gets on its own: the sums run left to right along a row, and the
+    zeros that pad them change no bit.
     """
     for strategy in strategies:
         if strategy not in STRATEGIES:
@@ -291,8 +291,6 @@ def _by_smaller(pairs: np.ndarray) -> np.ndarray:
     and the larger position of each pair, the pairs in ascending order
     of the smaller."""
     first, second = pairs[:, 0], pairs[:, 1]
-    if (first < second).all() and (first[1:] > first[:-1]).all():
-        return pairs.T  # already in that order, as strategies A and D give it
     mate = np.empty(pairs.size, dtype=np.intp)
     mate[first] = second
     mate[second] = first

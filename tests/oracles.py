@@ -44,7 +44,7 @@ from hmts.capacity import (
 from hmts.channel import BeamConfig
 from hmts.constellation import Constellation
 from hmts.errors import DegenerateRateError, ParameterError
-from hmts.pairing import STRATEGIES, PairingPlan, strategy_a
+from hmts.pairing import STRATEGIES, PairingPlan, run_strategy
 from hmts.rates import hierarchical_gain, max_min_weighted, operating_points
 
 
@@ -454,7 +454,8 @@ def strategy_a_list(snrs) -> PairingPlan:
 
 def strategy_b_allpairs(snrs) -> PairingPlan:
     """Strategy B by sorting all n(n-1)/2 candidate pairs: the reference
-    for ``hmts.pairing.strategy_b``, which must return the same plan."""
+    for ``hmts.pairing.run_strategy("B", ...)``, which must return the
+    same plan."""
     snrs = check_even_list(snrs)
     target = strategy_a_list(snrs).delta_avg
     order = sorted_order_list(snrs)
@@ -479,11 +480,11 @@ def strategy_b_allpairs(snrs) -> PairingPlan:
 def strategy_b_heap(snrs) -> PairingPlan:
     """Strategy B as a lazy-heap greedy set up one receiver at a time,
     with a scalar ``bisect_left`` for each receiver's first partner and
-    first run: the reference for ``hmts.pairing.strategy_b``, which
-    must return the same plan and is checked against it at sizes too
-    large for ``strategy_b_allpairs``."""
+    first run: the reference for ``hmts.pairing.run_strategy("B", ...)``,
+    which must return the same plan and is checked against it at sizes
+    too large for ``strategy_b_allpairs``."""
     snrs = np.array(check_even_list(snrs))
-    target = strategy_a(snrs).delta_avg
+    target = run_strategy("A", snrs).delta_avg
     order = np.argsort(snrs, kind="stable")
     v = snrs[order].tolist()
     n = len(v)

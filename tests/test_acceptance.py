@@ -18,7 +18,7 @@ from hmts.capacity import (
     estimate_hierarchical_thresholds,
 )
 from hmts.constellation import energy_fraction, solution_set, solve_theta
-from hmts.pairing import delta_upper_bound, strategy_a, strategy_d
+from hmts.pairing import delta_upper_bound, run_strategy
 from hmts.rates import RatePair, equal_rate_point, pair_gain, ts_rate_n, ts_rate_two
 from hmts.sim import PairRateCache, ScenarioConfig, run_scenario
 
@@ -113,7 +113,7 @@ def test_criterion_05_matching_theorem():
         snrs = [float(s) for s in rng.uniform(0.0, 20.0, n)]
         if k % 7 == 0:  # duplicated levels exercise the histogram bound
             snrs[: n // 2] = snrs[n // 2:]
-        a = strategy_a(snrs).delta_avg
+        a = run_strategy("A", snrs).delta_avg
         best = brute_force_matching(snrs, "max").delta_avg
         levels = {}
         for s in snrs:
@@ -121,7 +121,7 @@ def test_criterion_05_matching_theorem():
         bound = delta_upper_bound(levels)
         assert abs(a - best) < 1e-12
         assert abs(a - bound) < 1e-12
-        d = strategy_d(snrs).delta_avg
+        d = run_strategy("D", snrs).delta_avg
         worst_min = brute_force_matching(snrs, "min").delta_avg
         assert abs(d - worst_min) < 1e-12
     report(

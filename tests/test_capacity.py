@@ -489,6 +489,19 @@ class TestThresholdTable:
         with pytest.raises(TableError, match="line 2"):
             load_thresholds(path)
 
+    @pytest.mark.parametrize("modulation", ["H16APSK-0.8", "H16APSK-0.725", "H16APSK-nan"])
+    def test_non_canonical_rho_id_rejected(self, tmp_path, modulation):
+        # filter_rho keeps the ids hierarchical_modulation_id gives, so
+        # another spelling of rho would load and then be dropped silently
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "modulation,code_rate,stream,threshold_db\n"
+            "QPSK,1/2,single,1.0\n"
+            f"{modulation},1/2,HE,3.26\n"
+        )
+        with pytest.raises(TableError, match=rf"line 3: .*{modulation}"):
+            load_thresholds(path)
+
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(

@@ -514,6 +514,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("key, value", [
         ("professional_weight", 2.0),
         ("professional_weight", True),
+        ("professional_weight", 2**70),  # above 2**63 - 1, what an int64 array holds
         ("n_receivers", 20.0),
         ("n_receivers", "20"),
         ("n_trials", 1.5),
@@ -617,6 +618,24 @@ class TestTableOverride:
             capsys,
         )
         assert code == 2
+
+    def test_non_canonical_rho_id_exit_2(self, tmp_path, capsys):
+        # the shipped table with rho 0.80 spelt 0.8: simulate's filter_rho
+        # would drop those rows while rates pair used them
+        shipped = resources.files("hmts.data").joinpath("dvbs2_thresholds.csv").read_text()
+        table = tmp_path / "table.csv"
+        table.write_text(shipped.replace("H16APSK-0.80,", "H16APSK-0.8,"))
+        first = next(k for k, line in enumerate(shipped.splitlines(), 1)
+                     if line.startswith("H16APSK-0.80,"))
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            ["--table", str(table), "--out-dir", str(out), "--config", str(cfg), "simulate"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith(f"error: {table}: line {first}: ") and "'H16APSK-0.8'" in err
+        assert not out.exists()
 
 
 class TestSettingsPrecedence:

@@ -19,10 +19,6 @@ from hmts.pairing import (
     pairs_b,
     pairs_c,
     run_strategy,
-    strategy_a,
-    strategy_b,
-    strategy_c,
-    strategy_d,
 )
 
 from oracles import (
@@ -37,6 +33,10 @@ from oracles import (
 )
 
 
+# a test run once per strategy keeps its case ids, strategy_a to strategy_d
+STRATEGY_IDS = [f"strategy_{name.lower()}" for name in "ABCD"]
+
+
 def random_instances(rng, count, sizes=(4, 6, 8)):
     for _ in range(count):
         n = int(rng.choice(sizes))
@@ -45,7 +45,7 @@ def random_instances(rng, count, sizes=(4, 6, 8)):
 
 class TestStrategyA:
     def test_two_level_instance(self):
-        plan = strategy_a([4.0, 4.0, 12.0, 12.0])
+        plan = run_strategy("A", [4.0, 4.0, 12.0, 12.0])
         assert plan.delta_avg == 8.0
         assert plan.delta_variance == 0.0
         assert all(
@@ -54,29 +54,29 @@ class TestStrategyA:
         )
 
     def test_staircase(self):
-        plan = strategy_a([3.0, 4.0, 5.0, 6.0])
+        plan = run_strategy("A", [3.0, 4.0, 5.0, 6.0])
         assert plan.delta_avg == 2.0
 
     def test_matches_brute_force_max(self):
         rng = np.random.default_rng(31)
         for snrs in random_instances(rng, 40):
-            assert strategy_a(snrs).delta_avg == pytest.approx(
+            assert run_strategy("A", snrs).delta_avg == pytest.approx(
                 brute_force_matching(snrs, "max").delta_avg, abs=1e-12
             )
 
     def test_odd_count_rejected(self):
         with pytest.raises(ParameterError):
-            strategy_a([1.0, 2.0, 3.0])
+            run_strategy("A", [1.0, 2.0, 3.0])
 
 
-@pytest.mark.parametrize("strategy", [strategy_a, strategy_b, strategy_c, strategy_d])
+@pytest.mark.parametrize("strategy", "ABCD", ids=STRATEGY_IDS)
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_snrs_rejected(strategy, bad):
     with pytest.raises(ParameterError, match="finite"):
-        strategy([bad, 1.0, 2.0, 3.0])
+        run_strategy(strategy, [bad, 1.0, 2.0, 3.0])
 
 
-@pytest.mark.parametrize("strategy", [strategy_a, strategy_b, strategy_c, strategy_d])
+@pytest.mark.parametrize("strategy", "ABCD", ids=STRATEGY_IDS)
 @pytest.mark.parametrize("snrs", [
     [1e308, -1e308, 0.0, 1.0],  # one difference overflows
     [1.7e308, 0.0, 1.7e308, 0.0],  # each difference finite, their sum not
@@ -84,25 +84,25 @@ def test_non_finite_snrs_rejected(strategy, bad):
 ])
 def test_overflowing_snr_spread_rejected(strategy, snrs):
     with pytest.raises(ParameterError, match="finite"):
-        strategy(snrs)
+        run_strategy(strategy, snrs)
 
 
-@pytest.mark.parametrize("strategy", [strategy_a, strategy_b, strategy_c, strategy_d])
+@pytest.mark.parametrize("strategy", "ABCD", ids=STRATEGY_IDS)
 def test_wide_finite_spread_accepted(strategy):
-    plan = strategy([1e150, -1e150, 0.0, 1.0])
+    plan = run_strategy(strategy, [1e150, -1e150, 0.0, 1.0])
     assert math.isfinite(plan.delta_avg) and math.isfinite(plan.delta_variance)
 
 
 class TestStrategyB:
     def test_unique_optimum(self):
-        plan = strategy_b([4.0, 4.0, 12.0, 12.0])
+        plan = run_strategy("B", [4.0, 4.0, 12.0, 12.0])
         assert plan.delta_avg == 8.0
         assert plan.delta_variance == 0.0
 
     def test_low_variance_instance(self):
         # delta_max = 2 with pairs (0,2),(2,4); strategy A pairs (0,4),(2,2)
-        b = strategy_b([0.0, 2.0, 2.0, 4.0])
-        a = strategy_a([0.0, 2.0, 2.0, 4.0])
+        b = run_strategy("B", [0.0, 2.0, 2.0, 4.0])
+        a = run_strategy("A", [0.0, 2.0, 2.0, 4.0])
         assert a.delta_avg == 2.0
         assert a.delta_variance == pytest.approx(4.0)
         assert b.delta_avg == 2.0
@@ -112,15 +112,15 @@ class TestStrategyB:
         assert got == diffs
 
     def test_all_equal(self):
-        plan = strategy_b([5.0] * 6)
+        plan = run_strategy("B", [5.0] * 6)
         assert plan.delta_avg == 0.0
 
     def test_variance_not_above_a_on_average(self):
         rng = np.random.default_rng(17)
         var_a, var_b = [], []
         for snrs in random_instances(rng, 100):
-            var_a.append(strategy_a(snrs).delta_variance)
-            var_b.append(strategy_b(snrs).delta_variance)
+            var_a.append(run_strategy("A", snrs).delta_variance)
+            var_b.append(run_strategy("B", snrs).delta_variance)
         assert np.mean(var_b) <= np.mean(var_a)
 
 
@@ -154,7 +154,7 @@ class TestStrategyBMatchesAllPairs:
     @settings(max_examples=150, deadline=None)
     def test_tie_heavy_levels(self, snrs):
         snrs = _even(snrs)
-        assert strategy_b(snrs) == strategy_b_allpairs(snrs)
+        assert run_strategy("B", snrs) == strategy_b_allpairs(snrs)
 
     @given(st.lists(
         st.one_of(
@@ -167,7 +167,7 @@ class TestStrategyBMatchesAllPairs:
     @settings(max_examples=150, deadline=None)
     def test_wide_values_and_duplicates(self, snrs):
         snrs = _even(snrs + snrs[: len(snrs) // 2])  # duplicate a prefix
-        assert strategy_b(snrs) == strategy_b_allpairs(snrs)
+        assert run_strategy("B", snrs) == strategy_b_allpairs(snrs)
 
     @pytest.mark.parametrize("snrs", [
         [4.0, 12.0],
@@ -179,7 +179,7 @@ class TestStrategyBMatchesAllPairs:
         [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
     ])
     def test_edge_cases(self, snrs):
-        assert strategy_b(snrs) == strategy_b_allpairs(snrs)
+        assert run_strategy("B", snrs) == strategy_b_allpairs(snrs)
 
     @given(st.lists(st.one_of(CLUSTERED, CLUSTERED, TIED), min_size=2, max_size=60))
     @example([1e150, 1.0])
@@ -192,13 +192,13 @@ class TestStrategyBMatchesAllPairs:
     def test_far_values_beside_clusters(self, snrs):
         snrs = _even(snrs)
         want = strategy_b_allpairs(snrs)
-        assert strategy_b(snrs) == want
+        assert run_strategy("B", snrs) == want
         assert strategy_b_heap(snrs) == want
 
     def test_seeded_thousand_receivers(self):
         rng = np.random.default_rng(61)
         snrs = [float(s) for s in np.round(rng.normal(9.0, 4.0, 1000), 2)]
-        plan = strategy_b(snrs)
+        plan = run_strategy("B", snrs)
         reference = strategy_b_allpairs(snrs)
         assert plan.pairs == reference.pairs
         assert plan.delta_avg == reference.delta_avg
@@ -218,7 +218,7 @@ class TestStrategyBMatchesHeap:
     @pytest.mark.parametrize("n", [5000, 20000])
     def test_seeded_normal_snrs(self, n):
         snrs = np.random.default_rng(n).normal(9.0, 4.0, n)
-        assert_same_plan(strategy_b(snrs), strategy_b_heap(snrs))
+        assert_same_plan(run_strategy("B", snrs), strategy_b_heap(snrs))
 
     def test_homogeneous_sweep_populations(self, monkeypatch):
         # every pool strategy B pairs in the homogeneous_500 sweep, seed 1:
@@ -268,7 +268,7 @@ class TestStrategyBCheckedSplit:
         pytest.param(ROUNDED_DIFFERENCE, id="rounded-difference"),
     ])
     def test_equals_heap(self, snrs):
-        assert_same_plan(strategy_b(snrs), strategy_b_heap(snrs))
+        assert_same_plan(run_strategy("B", snrs), strategy_b_heap(snrs))
 
     @given(
         base=st.lists(st.one_of(TIED, CLUSTERED, st.floats(-30.0, 30.0, allow_nan=False)),
@@ -281,14 +281,14 @@ class TestStrategyBCheckedSplit:
         # the target of the receivers drawn first; the new receivers
         # move the target a little, so some land just across it
         base = _even(base)
-        target = strategy_a(base).delta_avg
+        target = run_strategy("A", base).delta_avg
         snrs = list(base)
         for v in data.draw(st.lists(st.sampled_from(base), min_size=1, max_size=10)):
             at = v + target
             snrs += [math.nextafter(at, -math.inf), at, math.nextafter(at, math.inf)]
         snrs = _even(snrs)
         want = strategy_b_heap(snrs)
-        assert_same_plan(strategy_b(snrs), want)
+        assert_same_plan(run_strategy("B", snrs), want)
         assert_same_plan(strategy_b_allpairs(snrs), want)
 
     @pytest.mark.parametrize("snrs, receiver", [(ROUNDED_SUM, 1), (ROUNDED_DIFFERENCE, 0)],
@@ -302,11 +302,11 @@ class TestStrategyBCheckedSplit:
             return bisect_rows(lo, hi, reached)
 
         monkeypatch.setattr(pairing, "_bisect_rows", spy)
-        assert_same_plan(strategy_b(snrs), strategy_b_heap(snrs))
+        assert_same_plan(run_strategy("B", snrs), strategy_b_heap(snrs))
         # the first search is the split's: that receiver alone, from the
         # position after it
         assert searched[0] == [receiver + 1]
-        assert_same_plan(strategy_b(snrs), strategy_b_allpairs(snrs))
+        assert_same_plan(run_strategy("B", snrs), strategy_b_allpairs(snrs))
 
 
 def _bisect_rows_reference(values, lo, hi, thresholds):
@@ -377,7 +377,7 @@ class TestMatchesListOracle:
     def test_strategy_c_seeds(self, snrs, seeds):
         snrs = _even(snrs)
         for seed in seeds:
-            assert_same_plan(strategy_c(snrs, seed), run_strategy_list("C", snrs, seed))
+            assert_same_plan(run_strategy("C", snrs, seed), run_strategy_list("C", snrs, seed))
 
     @given(snrs=st.lists(st.one_of(TIED, WIDE), min_size=2, max_size=60), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -402,7 +402,7 @@ class TestMatchesListOracle:
         want = plan_from_pairs_list(snrs, [(0, 1), (2, 3)])
         assert want.delta_variance == 2.640624999999997
         assert_same_plan(PairingPlan.from_pairs(snrs, [(0, 1), (2, 3)]), want)
-        assert_same_plan(strategy_d(snrs), run_strategy_list("D", snrs))
+        assert_same_plan(run_strategy("D", snrs), run_strategy_list("D", snrs))
 
     @pytest.mark.parametrize("snrs", [
         [1.0, 2.0, 3.0],
@@ -424,10 +424,10 @@ class TestMatchesListOracle:
 class TestStrategyC:
     def test_deterministic_per_seed(self):
         snrs = list(np.random.default_rng(0).uniform(0, 15, 10))
-        assert strategy_c(snrs, seed=7) == strategy_c(snrs, seed=7)
+        assert run_strategy("C", snrs, seed=7) == run_strategy("C", snrs, seed=7)
 
     def test_two_receivers(self):
-        plan = strategy_c([4.0, 12.0], seed=1)
+        plan = run_strategy("C", [4.0, 12.0], seed=1)
         assert plan.pairs == ((0, 1),)
         assert plan.delta_avg == 8.0
 
@@ -435,7 +435,7 @@ class TestStrategyC:
         snrs = [1.0, 2.0, 4.0, 8.0]
         counts = {}
         for seed in range(10000):
-            plan = strategy_c(snrs, seed=seed)
+            plan = run_strategy("C", snrs, seed=seed)
             counts[plan.pairs] = counts.get(plan.pairs, 0) + 1
         assert len(counts) == 3
         for c in counts.values():
@@ -444,17 +444,17 @@ class TestStrategyC:
 
 class TestStrategyD:
     def test_two_level_instance(self):
-        plan = strategy_d([4.0, 4.0, 12.0, 12.0])
+        plan = run_strategy("D", [4.0, 4.0, 12.0, 12.0])
         assert plan.delta_avg == 0.0
 
     def test_staircase(self):
-        plan = strategy_d([3.0, 4.0, 5.0, 6.0])
+        plan = run_strategy("D", [3.0, 4.0, 5.0, 6.0])
         assert plan.delta_avg == 1.0
 
     def test_matches_brute_force_min(self):
         rng = np.random.default_rng(37)
         for snrs in random_instances(rng, 40):
-            assert strategy_d(snrs).delta_avg == pytest.approx(
+            assert run_strategy("D", snrs).delta_avg == pytest.approx(
                 brute_force_matching(snrs, "min").delta_avg, abs=1e-12
             )
 
@@ -479,7 +479,7 @@ class TestDeltaUpperBound:
             for s in snrs:
                 levels[s] = levels.get(s, 0) + 1
             assert delta_upper_bound(levels) == pytest.approx(
-                strategy_a(snrs).delta_avg, abs=1e-12
+                run_strategy("A", snrs).delta_avg, abs=1e-12
             )
 
     def test_odd_total_rejected(self):
@@ -504,9 +504,9 @@ class TestBruteForce:
         rng = np.random.default_rng(47)
         for snrs in random_instances(rng, 20):
             top = brute_force_matching(snrs, "max").delta_avg
-            for strat in (strategy_a, strategy_b, strategy_d):
-                assert strat(snrs).delta_avg <= top + 1e-12
-            assert strategy_c(snrs, seed=3).delta_avg <= top + 1e-12
+            for name in "ABD":
+                assert run_strategy(name, snrs).delta_avg <= top + 1e-12
+            assert run_strategy("C", snrs, seed=3).delta_avg <= top + 1e-12
 
     def test_bad_objective(self):
         with pytest.raises(ParameterError):
@@ -518,7 +518,8 @@ class TestRunStrategy:
         snrs = [float(v) for v in (3, 9, 0, 7, 1, 8, 2, 6, 5, 4)]
         v = np.sort(snrs)
         order = np.argsort(snrs, kind="stable")
-        assert run_strategy("C", snrs, seed=7) == strategy_c(snrs, seed=7)
+        want = PairingPlan.from_pairs(snrs, order[pairs_c(v, 7)])
+        assert run_strategy("C", snrs, seed=7) == want
         assert run_strategy("C", snrs, seed=7) != run_strategy("C", snrs, seed=8)
         assert np.array_equal(pair_positions("C", v, seed=7), pairs_c(v, 7))
         assert not np.array_equal(pair_positions("C", v, seed=7), pair_positions("C", v, seed=8))
@@ -560,15 +561,17 @@ class TestPlanInvariants:
         rng = np.random.default_rng(seed)
         perm = list(rng.permutation(len(snrs)))
         shuffled = [snrs[p] for p in perm]
-        for strat in (strategy_a, strategy_b, strategy_d):
-            plan = strat(snrs)
+        for name in "ABD":
+            plan = run_strategy(name, snrs)
             flat = [i for pair in plan.pairs for i in pair]
             assert sorted(flat) == list(range(len(snrs)))
-            assert strat(shuffled).delta_avg == pytest.approx(plan.delta_avg, abs=1e-9)
-        plan_c = strategy_c(snrs, seed=5)
+            assert run_strategy(name, shuffled).delta_avg == pytest.approx(
+                plan.delta_avg, abs=1e-9
+            )
+        plan_c = run_strategy("C", snrs, seed=5)
         flat = [i for pair in plan_c.pairs for i in pair]
         assert sorted(flat) == list(range(len(snrs)))
-        assert strategy_c(shuffled, seed=5).delta_avg == pytest.approx(
+        assert run_strategy("C", shuffled, seed=5).delta_avg == pytest.approx(
             plan_c.delta_avg, abs=1e-9
         )
 
@@ -576,9 +579,9 @@ class TestPlanInvariants:
         rng = np.random.default_rng(53)
         d_a, d_c, d_d = [], [], []
         for k, snrs in enumerate(random_instances(rng, 120)):
-            d_a.append(strategy_a(snrs).delta_avg)
-            d_c.append(strategy_c(snrs, seed=k).delta_avg)
-            d_d.append(strategy_d(snrs).delta_avg)
+            d_a.append(run_strategy("A", snrs).delta_avg)
+            d_c.append(run_strategy("C", snrs, seed=k).delta_avg)
+            d_d.append(run_strategy("D", snrs).delta_avg)
         assert np.mean(d_a) >= np.mean(d_c) >= np.mean(d_d)
 
     def test_delta_stat_consistency(self):
