@@ -63,11 +63,10 @@ def bessel_j1(x):
 
     small = np.abs(x) <= 12.0
     if small.any():
-        xs = x[small]
-        half = 0.5 * xs
-        term = half.copy()
+        term = x[small]  # a copy
+        term *= 0.5
+        h2 = term * term
         acc = term.copy()
-        h2 = half * half
         # Once k(k + 1) > 2 max(h2), each later term is under half the one
         # before it.  If this term is then also under a quarter of
         # |spacing(acc)| everywhere (a quarter: the gap below a power of two
@@ -151,12 +150,20 @@ def pattern_attenuation(off_axis_angle_rad, cfg: BeamConfig):
         raise ParameterError(
             f"angle beyond the first pattern null ({null:.6g} rad)"
         )
-    u = np.sin(angle) * math.pi * cfg.antenna_diameter_m / cfg.wavelength_m
-    ratio = np.ones_like(u)
+    # in place, each step with the bits of the expression
+    # -20 log10(2 J1(u) / u), u = sin(angle) * pi * D / wavelength
+    u = np.sin(angle, out=angle)
+    u *= math.pi
+    u *= cfg.antenna_diameter_m
+    u /= cfg.wavelength_m
     nz = u > 0
-    ratio[nz] = 2.0 * bessel_j1(u[nz]) / u[nz]
-    att = -20.0 * np.log10(ratio)
-    att = np.maximum(att, 0.0)
+    ratio = bessel_j1(u[nz])
+    ratio *= 2.0
+    ratio /= u[nz]
+    att = np.zeros_like(u)  # log10(1) at boresight
+    att[nz] = np.log10(ratio, out=ratio)
+    att *= -20.0
+    np.maximum(att, 0.0, out=att)
     return float(att[0]) if scalar else att
 
 
@@ -185,8 +192,8 @@ def attenuation_at_disk_fraction(radius_fraction, cfg: BeamConfig):
     if np.any(frac < 0) or np.any(frac > 1):
         raise ParameterError("radius fraction must lie in [0, 1]")
     edge = beam_edge_angle(cfg)
-    angle = np.arctan(frac * math.tan(edge))
-    return pattern_attenuation(angle, cfg)
+    angle = frac * math.tan(edge)
+    return pattern_attenuation(np.arctan(angle, out=angle), cfg)
 
 
 @dataclass(frozen=True)

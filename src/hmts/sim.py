@@ -202,10 +202,11 @@ def _run_batch(snr_db, weight, strategies, table, seeds):
     nothing, one ``run_trial`` tuple per strategy, and that population's
     ``DegenerateRateError`` (None if there is none).  The checks, the
     rating, the classical rate, the sort, the solo receiver, the pair
-    lookup and the harmonic sums run once on the whole stack; only the
-    strategies' cores run per row.  Every value equals the one a row
-    gets on its own: the sums run left to right along a row, and the
-    zeros that pad them change no bit.
+    lookup and the harmonic sums run once on the whole stack, and each
+    strategy's core pairs all rows' pools in one call.  Every value
+    equals the one a row gets on its own: the sums run left to right
+    along a row, the zeros that pad them change no bit, and a core pairs
+    each row as it would alone.
     """
     for strategy in strategies:
         if strategy not in STRATEGIES:
@@ -246,6 +247,21 @@ def _run_batch(snr_db, weight, strategies, table, seeds):
     # strategy's harmonic sum is its inverse rate, or 0
     middle = n_excluded + pool // 2
     solo = np.where(pool % 2 == 1, inv[np.arange(n_trials), middle], 0.0)
+    # the pairing and the lookup need only the sorted rows: the batch's
+    # memory peaks there, so free what they do not need
+    del rates, inv, by_index
+    pools, pool_weights, pool_seeds = [], [], []
+    for t, (first, mid, v, w) in enumerate(zip(n_excluded.tolist(), middle.tolist(),
+                                               v_all, w_all)):
+        v, w = v[first:], w[first:]
+        if len(v) % 2:
+            v, w = np.delete(v, mid - first), np.delete(w, mid - first)
+        if v.size:
+            pools.append(check_snrs(v))
+            pool_weights.append(w)
+            pool_seeds.append(seeds[t])
+    # each strategy's core pairs all of the batch's pools in one call
+    positions = [pair_positions(s, pools, pool_seeds) for s in strategies]
     # per row and strategy, each pair's two SNRs and two weights, the
     # pairs in ascending order of their smaller position in the pool
     n_pairs = (pool // 2).repeat(len(strategies))
@@ -254,23 +270,14 @@ def _run_batch(snr_db, weight, strategies, table, seeds):
     one_weight = (w_all == w_all.flat[0]).all()
     weights = np.full((2, 1), w_all.flat[0]) if one_weight else np.empty(snrs.shape, w_all.dtype)
     end = 0
-    for t, (first, mid, v, w) in enumerate(zip(n_excluded.tolist(), middle.tolist(),
-                                               v_all, w_all)):
-        v, w = v[first:], w[first:]
-        if len(v) % 2:
-            v, w = np.delete(v, mid - first), np.delete(w, mid - first)
-        if not v.size:
-            continue
-        v = check_snrs(v)
-        pairs = np.concatenate(
-            [_by_smaller(pair_positions(s, v, seeds[t])) for s in strategies], axis=1
-        )
+    for t, (v, w) in enumerate(zip(pools, pool_weights)):
+        pairs = np.concatenate([_by_smaller(p[t]) for p in positions], axis=1)
         start, end = end, end + pairs.shape[1]
         snrs[:, start:end] = v[pairs]
         if not one_weight:
             weights[:, start:end] = w[pairs]
-    # the batch's memory peaks at the lookup: free what it does not need
-    del v_all, w_all, rates, inv
+    # nor does the lookup need the sorted rows
+    del v_all, w_all, pools, pool_weights, positions
     pair_inv = 1.0 / cache.pair_rate(*snrs, *weights)
     del snrs, weights
     sums = np.zeros((n_pairs.size, 1 + n // 2))

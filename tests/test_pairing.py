@@ -225,11 +225,12 @@ class TestStrategyBMatchesHeap:
         # the positions the simulation gets make the heap walk's plan
         seen = []
 
-        def both(v):
-            seen.append(len(v))
-            assert np.all(v[:-1] <= v[1:])  # the cores get sorted SNRs
-            positions = pairs_b(v)
-            assert_same_plan(PairingPlan.from_pairs(v, positions), strategy_b_heap(v))
+        def both(rows, seeds):
+            positions = pairs_b(rows, seeds)
+            for v, p in zip(rows, positions):
+                seen.append(len(v))
+                assert np.all(v[:-1] <= v[1:])  # the cores get sorted SNRs
+                assert_same_plan(PairingPlan.from_pairs(v, p), strategy_b_heap(v))
             return positions
 
         monkeypatch.setitem(pairing.STRATEGIES, "B", both)
@@ -307,6 +308,105 @@ class TestStrategyBCheckedSplit:
         # position after it
         assert searched[0] == [receiver + 1]
         assert_same_plan(run_strategy("B", snrs), strategy_b_allpairs(snrs))
+
+
+# receiver 2's v[i] - target rounds onto -2.0 (target = 1 + 2**-52),
+# whose computed difference from -1.0 falls short of the target: the
+# downward search's last partner that reaches the target is too high
+ROUNDED_SUM_BELOW = [-2.0, -1.0 - 2.0**-51, -1.0, 0.0]
+
+# values on 0.01, 0.25 and 1 dB steps: rows full of ties
+ROUNDED = st.one_of(
+    st.integers(-1500, 1500).map(lambda k: k / 100),
+    st.integers(-60, 60).map(lambda k: k / 4),
+    st.integers(-15, 15).map(float),
+)
+
+
+def assert_rows_equal_references(rows):
+    """Strategy B's positions for each row of one batch make the heap
+    walk's and the all-pairs sort's plans, mean included."""
+    rows = [np.sort(np.asarray(r, dtype=float)) for r in rows]
+    positions = pairs_b(rows, [0] * len(rows))
+    assert len(positions) == len(rows)
+    for v, p in zip(rows, positions):
+        # pick order: ascending (closeness, smaller position, larger)
+        target = run_strategy("A", v).delta_avg
+        keys = list(zip(np.abs((v[p[:, 1]] - v[p[:, 0]]) - target).tolist(), *p.T.tolist()))
+        assert keys == sorted(keys) and all(i < j for _, i, j in keys)
+        plan = PairingPlan.from_pairs(v, p)
+        assert_same_plan(plan, strategy_b_heap(v))
+        if len(v) <= 200:
+            assert_same_plan(plan, strategy_b_allpairs(v))
+
+
+class TestStrategyBTwoPhases:
+    """B pairs a batch of rows at once: rounds of mutually-best pairs over
+    the whole batch, then the heap walk on each row's remaining
+    receivers.  Each row gets the plan it gets alone, in pick order."""
+
+    @given(st.lists(st.lists(st.one_of(ROUNDED, TIED), min_size=2, max_size=60),
+                    min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_batches_of_rows_of_different_lengths(self, rows):
+        assert_rows_equal_references([_even(r) for r in rows])
+
+    @given(st.lists(st.lists(st.one_of(CLUSTERED, WIDE), min_size=2, max_size=40),
+                    min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_batches_of_wide_and_clustered_rows(self, rows):
+        assert_rows_equal_references([_even(r) for r in rows])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rounding_cases_mixed_into_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = [np.round(rng.normal(9.0, 4.0, 2 * int(rng.integers(1, 31))), 2) for _ in range(5)]
+        rows.insert(seed % 5, ROUNDED_SUM)
+        rows.insert((seed + 2) % 7, ROUNDED_DIFFERENCE)
+        rows.insert(seed, ROUNDED_SUM_BELOW)
+        assert_rows_equal_references(rows)
+
+    def test_rows_the_rounds_pair_completely(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("the rounds left receivers to walk")
+
+        monkeypatch.setattr(pairing, "_walk", no_walk)
+        # [3, 4, 5, 6]: (0, 2) and (1, 3) are both at the target, in one
+        # round; [4, 4, 12, 12]: (0, 2) first, then (1, 3) alone
+        assert_rows_equal_references([[4.0, 12.0], [3.0, 4.0, 5.0, 6.0], [4.0, 4.0, 12.0, 12.0],
+                                      [0.0, 2.0, 2.0, 4.0]])
+
+    def test_sweep_size_rows_take_both_phases(self, monkeypatch):
+        walked = []
+        walk = pairing._walk
+
+        def spy(v, *args):
+            walked.append(len(v))
+            return walk(v, *args)
+
+        monkeypatch.setattr(pairing, "_walk", spy)
+        rng = np.random.default_rng(83)
+        rows = [np.round(rng.normal(9.0, 4.0, n), 2) for n in (500, 60, 2, 500, 498)]
+        assert_rows_equal_references(rows)
+        # the walk gets part of some rows, none whole
+        assert walked and all(0 < w < 500 for w in walked)
+
+    def test_failed_downward_check_takes_the_bisection(self, monkeypatch):
+        searched = []
+        bisect_rows = pairing._bisect_rows
+
+        def spy(lo, hi, reached):
+            searched.append((np.asarray(lo).tolist(), np.asarray(hi).tolist()))
+            return bisect_rows(lo, hi, reached)
+
+        monkeypatch.setattr(pairing, "_bisect_rows", spy)
+        assert_same_plan(run_strategy("B", ROUNDED_SUM_BELOW), strategy_b_heap(ROUNDED_SUM_BELOW))
+        # a round searches the splits above, the runs above, the splits
+        # below and the runs below, in that order: the third search is
+        # receiver 2's, from the start of the row up to it
+        assert searched[2] == ([0], [2])
+        assert_same_plan(run_strategy("B", ROUNDED_SUM_BELOW),
+                         strategy_b_allpairs(ROUNDED_SUM_BELOW))
 
 
 def _bisect_rows_reference(values, lo, hi, thresholds):
@@ -518,33 +618,41 @@ class TestRunStrategy:
         snrs = [float(v) for v in (3, 9, 0, 7, 1, 8, 2, 6, 5, 4)]
         v = np.sort(snrs)
         order = np.argsort(snrs, kind="stable")
-        want = PairingPlan.from_pairs(snrs, order[pairs_c(v, 7)])
+        want = PairingPlan.from_pairs(snrs, order[pairs_c([v], [7])[0]])
         assert run_strategy("C", snrs, seed=7) == want
         assert run_strategy("C", snrs, seed=7) != run_strategy("C", snrs, seed=8)
-        assert np.array_equal(pair_positions("C", v, seed=7), pairs_c(v, 7))
-        assert not np.array_equal(pair_positions("C", v, seed=7), pair_positions("C", v, seed=8))
+        assert np.array_equal(pair_positions("C", [v], [7])[0], pairs_c([v], [7])[0])
+        assert not np.array_equal(pair_positions("C", [v], [7])[0], pair_positions("C", [v], [8])[0])
         for name in "ABD":
-            positions = STRATEGIES[name](v)
-            assert np.array_equal(pair_positions(name, v, seed=7), positions)
+            positions = STRATEGIES[name]([v], [8])[0]
+            assert np.array_equal(pair_positions(name, [v], [7])[0], positions)
             assert run_strategy(name, snrs, seed=7) == PairingPlan.from_pairs(snrs, order[positions])
 
     def test_strategy_looked_up_at_call_time(self, monkeypatch):
         calls = []
 
-        def fake(v, seed):
-            calls.append(seed)
-            return pairs_c(v, seed)
+        def fake(rows, seeds):
+            calls.extend(seeds)
+            return pairs_c(rows, seeds)
 
         monkeypatch.setitem(pairing.STRATEGIES, "C", fake)
         run_strategy("C", [1.0, 2.0], seed=4)
-        pair_positions("C", np.array([1.0, 2.0]), seed=5)
+        pair_positions("C", [np.array([1.0, 2.0])], [5])
         sim.run_trial([7.0, 10.0], [1, 1], "C", default_table(), seed=6)
         assert calls == [4, 5, 6]
+
+    def test_unknown_strategy_in_run_strategy(self):
+        with pytest.raises(ParameterError, match="unknown strategy 'E'"):
+            run_strategy("E", [1.0, 2.0])
+
+    def test_unknown_strategy_in_pair_positions(self):
+        with pytest.raises(ParameterError, match="unknown strategy 'E'"):
+            pair_positions("E", [np.array([1.0, 2.0])], [0])
 
     @pytest.mark.parametrize("name", "ABCD")
     def test_cores_return_a_perfect_matching_of_positions(self, name):
         v = np.sort(np.random.default_rng(5).normal(9.0, 4.0, 40))
-        positions = pair_positions(name, v, seed=3)
+        positions, = pair_positions(name, [v], [3])
         assert positions.shape == (20, 2) and positions.dtype.kind == "i"
         assert sorted(positions.ravel().tolist()) == list(range(40))
 

@@ -503,8 +503,8 @@ class TestBySmaller:
         perm = np.random.default_rng(n + 1).permutation(n).reshape(-1, 2)
         # arrays already in that order (A's and D's always, others by
         # chance at small n) and arrays that need reordering
-        for pairs in (pairs_a(v), pairs_d(v), pairs_b(v), perm, pairs_d(v)[:, ::-1],
-                      pairs_a(v)[::-1]):
+        a, b, d = (core([v], [0])[0] for core in (pairs_a, pairs_b, pairs_d))
+        for pairs in (a, d, b, perm, d[:, ::-1], a[::-1]):
             want = self.by_sorting(pairs)
             got = _by_smaller(pairs)
             assert got.tolist() == want.tolist(), pairs
