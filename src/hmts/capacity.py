@@ -196,12 +196,6 @@ class ThresholdTable:
                         f"{hi.code_rate} -> {hi.threshold_db} dB"
                     )
 
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
     def singles(self) -> tuple[ModCod, ...]:
         return self._singles
 

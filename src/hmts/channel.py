@@ -31,7 +31,6 @@ __all__ = [
     "pattern_attenuation",
     "beam_edge_angle",
     "attenuation_at_disk_fraction",
-    "sample_weather",
     "generate_population",
     "generate_populations",
     "write_population",
@@ -51,22 +50,20 @@ J1_FIRST_ZERO = 3.8317059702075125
 
 
 def bessel_j1(x):
-    """First-order Bessel function of the first kind.
-
-    Power series up to |x| = 12, Hankel asymptotic expansion beyond;
-    absolute accuracy around 1e-10.  Accepts scalars or arrays.
+    """First-order Bessel function of the first kind for |x| <= 12, as a
+    power series; absolute accuracy around 1e-10.  The pattern needs
+    only the main lobe, below the first zero at 3.83.  Accepts scalars
+    or arrays; a NaN or an |x| above 12 raises ParameterError.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    out = np.empty_like(x)
-
-    small = np.abs(x) <= 12.0
-    if small.any():
-        term = x[small]  # a copy
-        term *= 0.5
+    if not (np.abs(x) <= 12.0).all():  # NaN fails too
+        raise ParameterError("bessel_j1 needs |x| <= 12")
+    term = x * 0.5
+    acc = term.copy()
+    if x.size:  # max() of an empty array raises
         h2 = term * term
-        acc = term.copy()
         # Once k(k + 1) > 2 max(h2), each later term is under half the one
         # before it.  If this term is then also under a quarter of
         # |spacing(acc)| everywhere (a quarter: the gap below a power of two
@@ -82,27 +79,7 @@ def bessel_j1(x):
                 np.abs(term) < np.abs(np.spacing(acc)) / 4
             ).all():
                 break
-        out[small] = acc
-    if (~small).any():
-        xl = x[~small]
-        ax = np.abs(xl)
-        mu = 4.0
-        p = np.ones_like(ax)
-        q = np.zeros_like(ax)
-        term = np.ones_like(ax)
-        sign_p, sign_q = 1.0, 1.0
-        for k in range(1, 11):
-            term = term * (mu - (2 * k - 1) ** 2) / (8.0 * k * ax)
-            if k % 2:  # odd k feeds Q
-                q += sign_q * term
-                sign_q = -sign_q
-            else:
-                sign_p = -sign_p
-                p += sign_p * term
-        chi = ax - 0.75 * math.pi
-        val = np.sqrt(2.0 / (math.pi * ax)) * (p * np.cos(chi) - q * np.sin(chi))
-        out[~small] = np.where(xl < 0, -val, val)  # J1 is odd
-    return out[0] if scalar else out
+    return acc[0] if scalar else acc
 
 
 @dataclass(frozen=True)
@@ -146,9 +123,9 @@ def pattern_attenuation(off_axis_angle_rad, cfg: BeamConfig):
     scalar = angle.ndim == 0
     angle = np.abs(np.atleast_1d(angle))
     null = cfg.first_null_angle_rad
-    if np.any(angle >= null):
+    if not (angle < null).all():  # NaN fails too
         raise ParameterError(
-            f"angle beyond the first pattern null ({null:.6g} rad)"
+            f"angle must be a number below the first pattern null ({null:.6g} rad)"
         )
     # in place, each step with the bits of the expression
     # -20 log10(2 J1(u) / u), u = sin(angle) * pi * D / wavelength
@@ -188,11 +165,11 @@ def attenuation_at_disk_fraction(radius_fraction, cfg: BeamConfig):
     """Location attenuation at a given fraction of the beam-edge ground
     radius.  The flat-Earth ground radius is altitude * tan(angle), so
     the altitude cancels out of the fraction."""
-    frac = np.asarray(radius_fraction, dtype=float)
-    if np.any(frac < 0) or np.any(frac > 1):
+    # a copy, even of a scalar, which becomes the angle in place
+    angle = np.array(radius_fraction, dtype=float)
+    if not ((0 <= angle) & (angle <= 1)).all():  # NaN fails too
         raise ParameterError("radius fraction must lie in [0, 1]")
-    edge = beam_edge_angle(cfg)
-    angle = frac * math.tan(edge)
+    angle *= math.tan(beam_edge_angle(cfg))
     return pattern_attenuation(np.arctan(angle, out=angle), cfg)
 
 
@@ -219,10 +196,6 @@ class WeatherCdf:
         if probs[-1] != 1.0:
             raise ParameterError("the last cumulative probability must be 1")
 
-    @property
-    def max_attenuation_db(self) -> float:
-        return self.points[-1][0]
-
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "WeatherCdf":
         pts = []
@@ -245,11 +218,6 @@ def default_weather_cdf() -> WeatherCdf:
     ref = resources.files("hmts.data").joinpath("weather_cdf.csv")
     with resources.as_file(ref) as path:
         return WeatherCdf.from_csv(path)
-
-
-def sample_weather(cdf: WeatherCdf, rng, size=None):
-    """Inverse-CDF draws with linear interpolation between breakpoints."""
-    return _weather_at(cdf, np.random.default_rng(rng).random(size))
 
 
 def _weather_at(cdf: WeatherCdf, u):

@@ -189,7 +189,7 @@ def cmd_rates_pair(args) -> int:
     if snr1 is None or snr2 is None:
         raise ParameterError("rates pair requires --snr1 and --snr2")
     points = rates.operating_points(snr1, snr2, table)
-    r_ts = rates.ts_rate_two(points[0].r1, points[1].r2).per_receiver_rate
+    r_ts = rates.ts_rate_two(points[0].r1, points[1].r2)
     r_hm = rates.equal_rate_point(points)
     gain = rates.hierarchical_gain(r_hm, r_ts)
     hull = rates.augmented_hull([(p.r1, p.r2) for p in points])

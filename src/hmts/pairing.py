@@ -2,9 +2,10 @@
 
 The matching objective is the average per-pair SNR difference Delta.
 Pairing the extremes first (strategy A) attains the maximum Delta over
-all perfect matchings; the closed-form bound from the sorted histogram
-equals that maximum.  The strategies order receivers by (SNR, index),
-which is what a stable argsort gives.
+all perfect matchings; the closed-form bound from the sorted histogram,
+``delta_upper_bound`` in tests/oracles.py, equals that maximum.  The
+strategies order receivers by (SNR, index), which is what a stable
+argsort gives.
 
 Each strategy is one core, ``pairs_a`` to ``pairs_d``, over a batch of
 rows of SNRs, each sorted that way, and one seed per row: it returns
@@ -38,7 +39,6 @@ __all__ = [
     "pairs_c",
     "pairs_d",
     "pair_positions",
-    "delta_upper_bound",
     "STRATEGIES",
     "run_strategy",
 ]
@@ -448,34 +448,4 @@ def run_strategy(strategy: str, snrs, seed=0) -> PairingPlan:
     snrs = check_snrs(snrs)
     order = np.argsort(snrs, kind="stable")
     return PairingPlan.from_pairs(snrs, order[pair_positions(strategy, [snrs[order]], [seed])[0]])
-
-
-def delta_upper_bound(histogram) -> float:
-    """Upper bound on the average SNR difference from level counts.
-
-    ``histogram`` maps SNR level -> receiver count (or is an iterable of
-    such pairs).  The bound sums min(prefix, suffix) * gap over adjacent
-    sorted levels and is attained by strategy A.
-    """
-    if hasattr(histogram, "items"):
-        items = list(histogram.items())
-    else:
-        items = [(float(level), int(count)) for level, count in histogram]
-    items.sort(key=lambda kv: kv[0])
-    if not items:
-        raise ParameterError("histogram must be nonempty")
-    counts = [c for _, c in items]
-    if any(c < 0 for c in counts):
-        raise ParameterError("counts must be >= 0")
-    total = sum(counts)
-    if total == 0 or total % 2:
-        raise ParameterError(f"total receiver count must be even and > 0, got {total}")
-    n_pairs = total // 2
-    bound = 0.0
-    prefix = 0
-    for (lo, c), (hi, _) in zip(items, items[1:]):
-        prefix += c
-        a_i = min(prefix, total - prefix)
-        bound += a_i * (hi - lo)
-    return bound / n_pairs
 

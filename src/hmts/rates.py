@@ -2,10 +2,10 @@
 
 Classical time sharing serves each receiver with its best single-stream
 modcod for a fraction of time; the common rate is the (weighted) harmonic
-combination of the individual rates.  Adding hierarchical configurations
-gives a set of two-receiver operating points whose convex hull (with time
-sharing mixtures) can cross the equal-rate diagonal above the classical
-point.  ``PairRateCache`` tabulates these rates per threshold bucket, for
+combination of the individual rates, ``ts_rate_n``.  Adding hierarchical
+configurations gives a set of two-receiver operating points whose convex
+hull (with time sharing mixtures) can cross the equal-rate diagonal above
+the classical point.  ``PairRateCache`` tabulates these rates per threshold bucket, for
 looking up many receivers and pairs at once.
 """
 
@@ -21,7 +21,6 @@ from .errors import DegenerateRateError, InvariantError, ParameterError
 
 __all__ = [
     "RatePair",
-    "Allocation",
     "ts_rate_two",
     "ts_rate_n",
     "operating_points",
@@ -49,64 +48,37 @@ class RatePair:
             raise ParameterError(f"rates must be >= 0, got ({self.r1}, {self.r2})")
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """Time fractions per receiver plus the common per-receiver rate."""
-
-    fractions: tuple[float, ...]
-    per_receiver_rate: float
-
-
-def ts_rate_two(r1: float, r2: float) -> Allocation:
-    """Equal-rate time sharing between two receivers.
-
-    t1 = r2/(r1+r2) and the common rate is r1*r2/(r1+r2).
-    """
+def ts_rate_two(r1: float, r2: float) -> float:
+    """Equal-rate time sharing between two receivers: the common rate
+    r1*r2/(r1+r2), receiver 1 served a fraction r2/(r1+r2) of the time."""
     if r1 <= 0 or r2 <= 0:
         raise DegenerateRateError(
             f"time sharing requires positive rates, got ({r1}, {r2})"
         )
-    total = r1 + r2
-    return Allocation(fractions=(r2 / total, r1 / total), per_receiver_rate=r1 * r2 / total)
+    return r1 * r2 / (r1 + r2)
 
 
-def ts_rate_n(rates, weights=None) -> Allocation:
-    """Equal per-receiver rate over n terminals, weight = receivers served.
+def ts_rate_n(rates, weights=1):
+    """Classical equal per-receiver rate of each row of ``rates``, weight
+    = receivers served: the weighted harmonic form (sum_j w_j/R_j)**-1.
 
-    Time fractions are proportional to weight/rate; the per-receiver rate
-    is the weighted harmonic form (sum_j w_j/R_j)**-1.
+    Rates and weights broadcast along the last axis, and the sum runs
+    left to right along it.  A rate of 0 is left out: that receiver
+    decodes nothing.  A row with no positive rate raises
+    DegenerateRateError, and a negative, infinite or NaN rate
+    ParameterError.
     """
-    rates = list(rates)
-    if not rates:
-        raise ParameterError("rates must be nonempty")
-    if weights is None:
-        weights = [1] * len(rates)
-    else:
-        weights = list(weights)
-    if len(weights) != len(rates):
-        raise ParameterError("one weight per rate required")
-    zero = [i for i, r in enumerate(rates) if r <= 0]
-    if zero:
-        raise DegenerateRateError(
-            f"receivers {zero} have zero rate and cannot join the allocation",
-            receivers=tuple(zero),
-        )
-    for w in weights:
-        if not (isinstance(w, int) or float(w).is_integer()) or w < 1:
-            raise ParameterError(f"weights must be integers >= 1, got {w}")
-    if len(rates) == 2:
-        # product form avoids the reciprocal round trip and agrees exactly
-        # with ts_rate_two for unit weights
-        (r1, r2), (w1, w2) = rates, weights
-        denom = w1 * r2 + w2 * r1
-        return Allocation(
-            fractions=(w1 * r2 / denom, w2 * r1 / denom),
-            per_receiver_rate=r1 * r2 / denom,
-        )
-    inv = [w / r for w, r in zip(weights, rates)]
-    denom = sum(inv)
-    rate = 1.0 / denom
-    return Allocation(fractions=tuple(x / denom for x in inv), per_receiver_rate=rate)
+    r = np.asarray(rates, dtype=float)
+    w = _check_weights(weights)
+    if not ((0 <= r) & (r < math.inf)).all():  # NaN fails too
+        raise ParameterError("rates must be finite numbers >= 0")
+    served = r > 0
+    if not served.any(axis=-1).all():
+        raise DegenerateRateError("no receiver of a row has a positive rate")
+    inv = np.divide(w, r, out=np.zeros(np.broadcast_shapes(w.shape, r.shape)), where=served)
+    # np.cumsum adds left to right (np.sum adds pairwise, which rounds
+    # differently)
+    return 1.0 / np.cumsum(inv, axis=-1)[..., -1]
 
 
 def operating_points(snr1: float, snr2: float, table: ThresholdTable) -> list[RatePair]:
@@ -221,8 +193,7 @@ def pair_gain(snr1: float, snr2: float, table: ThresholdTable) -> float:
         raise DegenerateRateError(
             f"receiver cannot decode any modcod at ({s1}, {s2}) dB"
         )
-    r_ts = ts_rate_two(r1, r2).per_receiver_rate
-    return hierarchical_gain(equal_rate_point(points), r_ts)
+    return hierarchical_gain(equal_rate_point(points), ts_rate_two(r1, r2))
 
 
 def hierarchical_gain(hier, classical):

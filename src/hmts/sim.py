@@ -31,7 +31,7 @@ from .channel import (
 )
 from .errors import DegenerateRateError, ParameterError
 from .pairing import STRATEGIES, check_snrs, pair_positions
-from .rates import PairRateCache, _check_weights, hierarchical_gain
+from .rates import PairRateCache, _check_weights, hierarchical_gain, ts_rate_n
 
 __all__ = [
     "ScenarioConfig",
@@ -124,9 +124,6 @@ class GainReport:
         for r in self.records:
             groups.setdefault((r.snr_max_db, r.strategy, r.share), []).append(r.gain)
         return groups
-
-    def gains(self, snr_max_db: float, strategy: str, share: float = 0.0) -> list[float]:
-        return list(self._groups.get((snr_max_db, strategy, share), ()))
 
     def mean_gain(self, snr_max_db: float, strategy: str, share: float = 0.0) -> float:
         g = self._groups.get((snr_max_db, strategy, share))
@@ -235,21 +232,20 @@ def _run_batch(snr_db, weight, strategies, table, seeds):
     n_trials = len(order)
     if not n_trials:
         return [], error
-    inv = np.divide(w_all, rates, out=np.zeros(rates.shape), where=rates > 0)
-    # np.cumsum adds left to right, as the reference run_trial_scalar in
-    # tests/oracles.py does (np.sum adds pairwise, which rounds
-    # differently), and the classical sum runs in index order
-    by_index = np.empty_like(inv)
-    np.put_along_axis(by_index, order, inv, axis=1)
-    classical = 1.0 / np.cumsum(by_index, axis=1)[:, -1]
+    # the classical sum runs in index order, as the reference
+    # run_trial_scalar in tests/oracles.py adds it
+    by_index = np.empty_like(rates)
+    np.put_along_axis(by_index, order, rates, axis=1)
+    classical = ts_rate_n(by_index, weight[:n_trials])
     pool = n - n_excluded
     # the middle receiver of an odd pool stays single; column 0 of each
     # strategy's harmonic sum is its inverse rate, or 0
     middle = n_excluded + pool // 2
-    solo = np.where(pool % 2 == 1, inv[np.arange(n_trials), middle], 0.0)
+    rows = np.arange(n_trials)
+    solo = np.where(pool % 2 == 1, w_all[rows, middle] / rates[rows, middle], 0.0)
     # the pairing and the lookup need only the sorted rows: the batch's
     # memory peaks there, so free what they do not need
-    del rates, inv, by_index
+    del rates, by_index
     pools, pool_weights, pool_seeds = [], [], []
     for t, (first, mid, v, w) in enumerate(zip(n_excluded.tolist(), middle.tolist(),
                                                v_all, w_all)):

@@ -4,11 +4,12 @@ Everything here deliberately avoids the code paths under test: mutual
 information uses Gauss-Hermite quadrature instead of Monte-Carlo, the
 equal-rate point enumerates segment-diagonal intersections instead of
 building a hull, matching optima come from a subset dynamic programme
-checked against enumeration, and the Bessel function is integrated
-numerically, also inside the location CDF, which runs its own
-bisection.  ``best_single_rate`` reads the table entry by entry, and
-the hierarchical 16-QAM and 8-PSK are extra MI-kernel inputs that the
-threshold table cannot carry.  ``run_strategy_list`` (with
+checked against enumeration, ``delta_upper_bound`` gives the maximum
+mean SNR difference in closed form from the level histogram, and the
+Bessel function is integrated numerically, also inside the location
+CDF, which runs its own bisection.  ``best_single_rate`` reads the
+table entry by entry, and the hierarchical 16-QAM and 8-PSK are extra
+MI-kernel inputs that the threshold table cannot carry.  ``run_strategy_list`` (with
 ``strategy_b_allpairs``), ``strategy_b_heap``,
 ``stream_mutual_information_dense``, ``PairRateCacheScalar``,
 ``run_trial_scalar`` and ``bessel_j1_series`` are the exceptions:
@@ -344,6 +345,36 @@ def brute_force_matching_enumerated(snrs, objective: str = "max") -> Matching:
             best_score = score
             best = pairs
     return _matching(snrs, best)
+
+
+def delta_upper_bound(histogram) -> float:
+    """Upper bound on the average SNR difference from level counts.
+
+    ``histogram`` maps SNR level -> receiver count (or is an iterable of
+    such pairs).  The bound sums min(prefix, suffix) * gap over adjacent
+    sorted levels and is attained by strategy A.
+    """
+    if hasattr(histogram, "items"):
+        items = list(histogram.items())
+    else:
+        items = [(float(level), int(count)) for level, count in histogram]
+    items.sort(key=lambda kv: kv[0])
+    if not items:
+        raise ParameterError("histogram must be nonempty")
+    counts = [c for _, c in items]
+    if any(c < 0 for c in counts):
+        raise ParameterError("counts must be >= 0")
+    total = sum(counts)
+    if total == 0 or total % 2:
+        raise ParameterError(f"total receiver count must be even and > 0, got {total}")
+    n_pairs = total // 2
+    bound = 0.0
+    prefix = 0
+    for (lo, c), (hi, _) in zip(items, items[1:]):
+        prefix += c
+        a_i = min(prefix, total - prefix)
+        bound += a_i * (hi - lo)
+    return bound / n_pairs
 
 
 def bessel_j1_simpson(x, n=40001):

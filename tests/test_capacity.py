@@ -517,8 +517,8 @@ class TestThresholdTable:
         save_thresholds(table, path)
         again = load_thresholds(path)
         assert [
-            (e.modulation, e.code_rate, e.stream, e.threshold_db) for e in again
-        ] == [(e.modulation, e.code_rate, e.stream, e.threshold_db) for e in table]
+            (e.modulation, e.code_rate, e.stream, e.threshold_db) for e in again.entries
+        ] == [(e.modulation, e.code_rate, e.stream, e.threshold_db) for e in table.entries]
 
     def test_filter_rho(self, table):
         sub = table.filter_rho((0.8,))

@@ -91,7 +91,7 @@ class TestThresholdsCommand:
         from hmts.capacity import load_thresholds
 
         table = load_thresholds(path)
-        assert len(table) == 4
+        assert len(table.entries) == 4
 
     @pytest.mark.parametrize("margin", ["1e308", "-100", "nan", "inf"])
     def test_margin_out_of_range_exit_2(self, margin, tmp_path, capsys):

@@ -14,7 +14,6 @@ from hmts.errors import ParameterError
 from hmts.pairing import (
     STRATEGIES,
     PairingPlan,
-    delta_upper_bound,
     pair_positions,
     pairs_b,
     pairs_c,
@@ -25,6 +24,7 @@ from oracles import (
     all_matchings,
     brute_force_matching,
     check_even_list,
+    delta_upper_bound,
     matching_delta,
     plan_from_pairs_list,
     run_strategy_list,

@@ -640,7 +640,8 @@ class TestSummarize:
 
     def test_mean_matches_records(self, table):
         rep = run_scenario(small_config(strategies=("A",)), table=table)
-        gains = rep.gains(8.0, "A", 0.0)
+        gains = [r.gain for r in rep.records if (r.snr_max_db, r.strategy) == (8.0, "A")]
+        assert gains
         assert rep.mean_gain(8.0, "A", 0.0) == pytest.approx(
             sum(gains) / len(gains)
         )
@@ -665,4 +666,4 @@ class TestGainReport:
             (10.0, "D", 0.0, (0.1 + 0.3) / 2, 0.1, 0.3),
             (7.0, "A", 0.0, (0.2 + 0.6) / 2, 0.2, 0.6),
         ]
-        assert rep.gains(7, "A", 0) == [0.2, 0.6]
+        assert rep._groups[(7, "A", 0)] == [0.2, 0.6]
