@@ -222,8 +222,7 @@ def cmd_rates_grid(args) -> int:
             cols = np.flatnonzero(grid >= s1)
             served = (single[cols] > 0) & (r1 > 0)
             gains = np.zeros(len(cols))
-            r2 = single[cols[served]]
-            r_ts = r1 * r2 / (r1 + r2)  # rates.ts_rate_two's per-receiver rate
+            r_ts = rates.ts_rate_two(r1, single[cols[served]])
             gains[served] = rates.hierarchical_gain(cache.pair_rate(s1, grid[cols[served]]), r_ts)
             writer.writerows(
                 (label, labels[c], f"{g:.10g}" if ok else "")
@@ -244,9 +243,14 @@ def _parse_snrs(value: str) -> list[float]:
 
 def _parse_code_rates(value: str) -> list[Fraction]:
     try:
-        return [Fraction(r) for r in value.split(",")]
+        code_rates = [Fraction(r) for r in value.split(",")]
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse code rates {value!r}") from None
+    # every rate is checked before the first threshold is estimated
+    for rate in code_rates:
+        if not 0 < rate <= 1:
+            raise argparse.ArgumentTypeError(f"code rate must lie in (0, 1], got {rate}")
+    return code_rates
 
 
 def cmd_pairing(args) -> int:

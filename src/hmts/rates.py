@@ -48,10 +48,14 @@ class RatePair:
             raise ParameterError(f"rates must be >= 0, got ({self.r1}, {self.r2})")
 
 
-def ts_rate_two(r1: float, r2: float) -> float:
+def ts_rate_two(r1, r2):
     """Equal-rate time sharing between two receivers: the common rate
-    r1*r2/(r1+r2), receiver 1 served a fraction r2/(r1+r2) of the time."""
-    if r1 <= 0 or r2 <= 0:
+    r1*r2/(r1+r2), receiver 1 served a fraction r2/(r1+r2) of the time.
+
+    A float for floats, element by element for arrays that broadcast
+    (empty ones too); a rate <= 0 raises DegenerateRateError.
+    """
+    if (np.less_equal(r1, 0) | np.less_equal(r2, 0)).any():
         raise DegenerateRateError(
             f"time sharing requires positive rates, got ({r1}, {r2})"
         )

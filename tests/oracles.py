@@ -11,12 +11,13 @@ CDF, which runs its own bisection.  ``best_single_rate`` reads the
 table entry by entry, and the hierarchical 16-QAM and 8-PSK are extra
 MI-kernel inputs that the threshold table cannot carry.  ``run_strategy_list`` (with
 ``strategy_b_allpairs``), ``strategy_b_heap``,
-``stream_mutual_information_dense``, ``PairRateCacheScalar``,
-``run_trial_scalar`` and ``bessel_j1_series`` are the exceptions:
-they are the previous implementations of the pairing strategies (Python
-lists, strategy B by sorting all pairs, then as a heap walk set up one
-receiver at a time), of the Monte-Carlo stream MI (one masked
-log-sum-exp per sum over a sample-major tensor), of the per-receiver
+``stream_mutual_information_dense``, ``estimate_threshold_bisect``,
+``PairRateCacheScalar``, ``run_trial_scalar`` and ``bessel_j1_series``
+are the exceptions: they are the previous implementations of the
+pairing strategies (Python lists, strategy B by sorting all pairs, then
+as a heap walk set up one receiver at a time), of the Monte-Carlo stream
+MI (one masked log-sum-exp per sum over a sample-major tensor), of the
+threshold search (bisection of [-10, 30] dB to 0.01 dB), of the per-receiver
 trial with its memoised pair rates (``rates.operating_points`` and
 ``rates.max_min_weighted`` per bucket pair) and of J1's power series
 (all 39 terms), kept to pin the package's faster ones to the same plans
@@ -34,7 +35,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from hmts import capacity
 from hmts.capacity import (
+    DEFAULT_LOSS_MARGIN_DB,
     DEFAULT_MI_QUALITY,
     _SNR_CEIL_DB,
     _SNR_FLOOR_DB,
@@ -44,7 +47,7 @@ from hmts.capacity import (
 )
 from hmts.channel import BeamConfig
 from hmts.constellation import Constellation
-from hmts.errors import DegenerateRateError, ParameterError
+from hmts.errors import DegenerateRateError, ParameterError, UnreachableThresholdError
 from hmts.pairing import STRATEGIES, PairingPlan, run_strategy
 from hmts.rates import hierarchical_gain, max_min_weighted, operating_points
 
@@ -672,6 +675,43 @@ def stream_mutual_information_dense(
     n_classes = u_sizes[0] / c_sizes[0]
     info = math.log2(n_classes) - float(np.mean(lse_u - lse_c)) / math.log(2.0)
     return info
+
+
+def estimate_threshold_bisect(
+    c: Constellation,
+    stream: str,
+    code_rate,
+    quality: int = DEFAULT_MI_QUALITY,
+    loss_margin_db: float = DEFAULT_LOSS_MARGIN_DB,
+    seed: int = 0,
+    memo: dict | None = None,
+) -> float:
+    """Decoding threshold (dB) by bisection of [-10, 30] dB down to
+    0.01 dB, plus the margin.  The MI comes from
+    ``capacity.stream_mutual_information``, looked up at each call, and
+    is kept by SNR in ``memo``, which calls on one curve may share."""
+    target = c.stream_bits(stream) * float(code_rate)
+    memo = {} if memo is None else memo
+
+    def mi(snr):
+        if snr not in memo:
+            memo[snr] = capacity.stream_mutual_information(
+                c, stream, snr, quality=quality, seed=seed
+            )
+        return memo[snr]
+
+    if mi(_SNR_CEIL_DB) < target:
+        raise UnreachableThresholdError(f"{c.name}/{stream} never reaches {target}")
+    lo, hi = _SNR_FLOOR_DB, _SNR_CEIL_DB
+    if mi(lo) >= target:
+        return lo + loss_margin_db
+    while hi - lo > 0.01:
+        mid = 0.5 * (lo + hi)
+        if mi(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi + loss_margin_db
 
 
 def best_single_rate(table: ThresholdTable, snr_db: float) -> float:

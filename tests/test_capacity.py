@@ -43,6 +43,7 @@ from hmts.errors import ParameterError, TableError, UnreachableThresholdError
 from hmts.sim import PairRateCache
 
 from oracles import (
+    estimate_threshold_bisect,
     hierarchical_8psk,
     hierarchical_16qam,
     invert_mi_grid,
@@ -283,7 +284,8 @@ class TestEstimateThreshold:
 
 
 def _evict_curve_memo():
-    """Bisect an unrelated curve, so that the next call starts cold."""
+    """Estimate a threshold on an unrelated curve, so that the next call
+    starts cold."""
     estimate_threshold(build_uniform("QPSK"), "single", Fraction(1, 2), quality=1000)
 
 
@@ -305,8 +307,9 @@ class TestCurveMemo:
         mi_calls.clear()
         entries = estimate_hierarchical_thresholds(0.8)
         assert len(entries) == 22
-        # 14 per threshold (308) when every bisection starts cold
-        assert len(mi_calls) == 183
+        # bisection took 14 per threshold cold (308) and 183 on one warm
+        # curve per stream
+        assert len(mi_calls) == 58
         assert len(set(mi_calls)) == len(mi_calls)
 
     def test_repeated_threshold_makes_no_evaluation(self, apsk_08, mi_calls):
@@ -351,6 +354,141 @@ class TestCurveMemo:
         gc.collect()
         curves = [o for o in gc.get_objects() if isinstance(o, capacity._Curve)]
         assert curves == [capacity._last_curve[1]]
+
+
+def _thresholds(search, c, stream, rates, **kwargs):
+    """Threshold of each rate in turn, None where it is unreachable."""
+    out = []
+    for rate in rates:
+        try:
+            out.append(search(c, stream, rate, **kwargs))
+        except UnreachableThresholdError:
+            out.append(None)
+    return out
+
+
+def _shuffled_rates(rng):
+    return [DVBS2_CODE_RATES[k] for k in rng.permutation(len(DVBS2_CODE_RATES))]
+
+
+class TestSearchEqualsBisection:
+    """The interpolating search returns the bisection's threshold."""
+
+    def _check(self, c, stream, rates, **kwargs):
+        _evict_curve_memo()
+        ours = _thresholds(estimate_threshold, c, stream, rates, **kwargs)
+        oracle = _thresholds(estimate_threshold_bisect, c, stream, rates, memo={}, **kwargs)
+        assert ours == oracle, (c.name, stream, kwargs)
+        return ours
+
+    @pytest.mark.parametrize("rho", sorted(ADOPTED_APSK_GEOMETRY))
+    def test_adopted_geometries(self, rho):
+        # all 11 rates in a random order on one warm curve
+        c = hierarchical_constellation(hierarchical_modulation_id(rho))
+        rng = np.random.default_rng(round(rho * 100))
+        for stream, quality, seed in itertools.product(
+            ("HE", "LE"), (1000, 2000, 8000, 20000), range(4)
+        ):
+            self._check(c, stream, _shuffled_rates(rng), quality=quality, seed=seed)
+
+    @pytest.mark.parametrize("name", ["QPSK", "8PSK", "16APSK-uniform"])
+    def test_uniform_single_streams(self, name):
+        c = build_uniform(name)
+        rng = np.random.default_rng(len(name))
+        for quality, seed in itertools.product((2000, 20000), range(2)):
+            self._check(c, "single", _shuffled_rates(rng), quality=quality, seed=seed,
+                        loss_margin_db=0.0)
+
+    def test_select_pair_geometries(self):
+        # every fifth geometry of select_pair's curve at rho 0.80, and the
+        # two at rho 0.70 whose HE stream never reaches rate 8/9
+        rng = np.random.default_rng(70)
+        curves = {rho: solution_set(rho, n_samples=21, gamma_cap=5.0).curve for rho in (0.7, 0.8)}
+        geometries = [*curves[0.8][1::5], *curves[0.7][1:3]]
+        unreachable = 0
+        for gamma, theta in geometries:
+            c = build_16apsk(Apsk16Params(gamma, theta))
+            ths = self._check(c, "HE", _shuffled_rates(rng), quality=8000, loss_margin_db=0.0)
+            unreachable += ths.count(None)
+        assert unreachable >= 2
+
+
+def _synthetic_thresholds(curve, rates):
+    """Thresholds of ``rates`` in turn on one curve put in place of the MI
+    kernel, the first from cold, and the MI evaluations of each; both
+    searches must agree, and none may take more than 14 evaluations."""
+    qpsk = build_uniform("QPSK")  # 2 bits; the curves ignore it
+    calls = []
+
+    def mi(c, stream, snr_db, quality, seed):
+        calls.append(snr_db)
+        return curve(snr_db)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "stream_mutual_information", mi)
+        mp.setattr(capacity, "_last_curve", (None, None))
+        ours, counts = [], []
+        for rate in rates:
+            calls.clear()
+            ours += _thresholds(estimate_threshold, qpsk, "single", [rate], loss_margin_db=0.0)
+            counts.append(len(calls))
+        oracle = _thresholds(estimate_threshold_bisect, qpsk, "single", rates,
+                             loss_margin_db=0.0)
+    assert ours == oracle
+    assert max(counts) <= 14, counts
+    return ours, counts
+
+
+class TestSearchOnSyntheticCurves:
+    """Monotone MI curves put in place of the kernel: the search equals
+    the bisection and takes at most 14 evaluations, cold or warm."""
+
+    STEPS = [*np.linspace(-10.0, 30.0, 41), -9.995, -9.99, 7.123, 29.99, 29.995, 30.0]
+
+    @pytest.mark.parametrize("rate", [Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)])
+    def test_step(self, rate):
+        for s in self.STEPS:
+            (th,), _ = _synthetic_thresholds(lambda x, s=s: 0.0 if x < s else 2.0, [rate])
+            assert th >= s > th - 0.01
+
+    def test_steep_sigmoid(self):
+        for s in self.STEPS[::3]:
+            def curve(x, s=s):
+                return 2.0 / (1.0 + math.exp(min(700.0, 1000.0 * (s - x))))
+            _synthetic_thresholds(curve, list(DVBS2_CODE_RATES))
+
+    def test_plateau_exactly_at_the_target(self):
+        # the MI rises to the target 1.0 at s, stays there for 5 dB, then
+        # rises again: the answer is the first grid SNR at or above s
+        for s in (-9.0, -2.5, 0.123, 11.0, 24.0):
+            def curve(x, s=s):
+                return min(1.0, max(0.0, (x + 10.0) / (s + 10.0))) + max(0.0, x - s - 5.0) / 40.0
+            (th,), _ = _synthetic_thresholds(curve, [Fraction(1, 2)])
+            assert th >= s > th - 0.01
+
+    def test_target_reached_at_the_floor(self):
+        (th,), _ = _synthetic_thresholds(lambda x: 1.0 + x / 100.0, [Fraction(1, 4)])
+        assert th == -10.0
+
+    def test_unreachable_at_the_ceiling(self):
+        ths, counts = _synthetic_thresholds(lambda x: 0.5, [Fraction(1, 2)])
+        assert ths == [None]
+        assert counts == [1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        knots=st.lists(
+            st.tuples(st.floats(-12.0, 32.0), st.floats(0.0, 2.0)), min_size=1, max_size=8
+        ),
+        order=st.permutations(range(len(DVBS2_CODE_RATES))),
+    )
+    def test_random_monotone_curves(self, knots, order):
+        # piecewise linear through sorted knots, flat beyond them; all
+        # rates in a random order on one warm curve
+        xs = np.sort([x for x, _ in knots])
+        ys = np.sort([y for _, y in knots])
+        rates = [DVBS2_CODE_RATES[k] for k in order]
+        _synthetic_thresholds(lambda x: float(np.interp(x, xs, ys)), rates)
 
 
 class TestRhoTradeoff:

@@ -125,6 +125,21 @@ class TestThresholdsCommand:
         assert err == f"error: {repeated}\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("code_rates", ["9/10,3/2", "1/2,2/3,3/2"])
+    def test_rate_out_of_range_exit_2_before_estimating(self, code_rates, tmp_path, capsys,
+                                                        monkeypatch):
+        calls = []
+        monkeypatch.setattr(capacity, "stream_mutual_information",
+                            lambda *args, **kwargs: calls.append(args))
+        code, _, err = run_cli(
+            ["--out-dir", str(tmp_path), "thresholds", "estimate", "--rho", "0.8",
+             "--rates", code_rates], capsys
+        )
+        assert code == 2
+        assert "code rate must lie in (0, 1], got 3/2" in err
+        assert calls == []
+        assert not list(tmp_path.iterdir())
+
     def test_rho_off_the_hundredths_exit_2_before_estimating(self, tmp_path, capsys,
                                                             monkeypatch):
         def no_evaluation(*args, **kwargs):

@@ -44,6 +44,29 @@ class TestTsRateTwo:
             ts_rate_two(2.0, 0.0)
 
 
+    def test_arrays_elementwise(self):
+        rng = np.random.default_rng(3)
+        r1, r2 = rng.uniform(0.1, 4.0, (2, 50))
+        ours = ts_rate_two(r1, r2)
+        assert ours.tolist() == [ts_rate_two(a, b) for a, b in zip(r1.tolist(), r2.tolist())]
+        # a float against an array broadcasts, in the same product form
+        assert ts_rate_two(1.5, r2).tolist() == [ts_rate_two(1.5, b) for b in r2.tolist()]
+        assert type(ts_rate_two(2.0, 3.0)) is float
+
+    def test_empty_array(self):
+        # no entry, so nothing is degenerate, even against a zero rate
+        assert ts_rate_two(0.0, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("r1, r2", [
+        (np.array([1.0, 0.0, 2.0]), np.array([1.0, 1.0, 1.0])),
+        (1.0, np.array([2.0, -1.0])),
+        (np.array([0.5, 1.5]), 0.0),
+    ])
+    def test_array_with_a_nonpositive_rate_error(self, r1, r2):
+        with pytest.raises(DegenerateRateError):
+            ts_rate_two(r1, r2)
+
+
 class TestTsRateN:
     def test_symmetric_three(self):
         assert ts_rate_n([1.0, 1.0, 1.0]) == pytest.approx(1.0 / 3.0)
