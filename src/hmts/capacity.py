@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -74,6 +75,11 @@ _MAX_LOSS_MARGIN_DB = 10.0
 
 _SNR_FLOOR_DB = -10.0
 _SNR_CEIL_DB = 30.0
+
+# sent symbols per block of the MI kernel: one block's weights, 4 x 16 x
+# 1250 float64 (640 kB) for HE at the default quality, stay in cache from
+# the exp to the matmul that reads them
+_MI_BLOCK = 4
 
 
 def hierarchical_modulation_id(rho_he: float) -> str:
@@ -305,12 +311,17 @@ class _Curve:
     of candidate j relative to the sent symbol i is
     ``-(|d_ij|^2 + scale * 2 Re(d_ij conj z_ik)) / n0``; the two terms
     ``A = |d|^2`` and ``B = 2 Re(d conj z)`` do not depend on the SNR.
-    Candidates j run over the stream's universe row of i only.
+    Candidates j run over the stream's universe row of i only.  An
+    evaluation works through the sent symbols in blocks of
+    ``_MI_BLOCK``, in place in two buffers the curve keeps, so it
+    allocates no array of ``B``'s size.
     """
 
     def __init__(self, c: Constellation, stream: str, quality: int, seed: int):
         self._args = (c, stream, quality, seed)
         self.memo: dict[float, float] = {}
+        # the evaluations of one curve share its buffers
+        self._lock = threading.Lock()
 
     @cached_property
     def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -342,25 +353,45 @@ class _Curve:
         ).astype(float)
         return a, b, masks, math.log2(u_sizes[0] / c_sizes[0])
 
+    @cached_property
+    def _buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weights of one block of sent symbols (block, j, k) and both
+        sums of every sent symbol (i, sum, k), overwritten by each
+        evaluation."""
+        _, b, _, _ = self.terms
+        m, n_cand, per = b.shape
+        return np.empty((min(_MI_BLOCK, m), n_cand, per)), np.empty((m, 2, per))
+
     def mutual_information(self, snr_db: float) -> float:
         a, b, masks, log2_classes = self.terms
         n0 = 10.0 ** (-snr_db / 10.0)  # unit symbol energy
+        scale = -math.sqrt(n0 / 2.0) / n0
+        a_n0 = (a / n0)[:, :, None]
         # the sent symbol's term is exactly exp(0) = 1 and lies in both
         # sums, so neither underflows; every other exponent is
         # (scale^2 |z|^2 - |y - s_j|^2) / n0 <= |z|^2 / 2, so none
-        # overflows and no max shift is needed
-        w = b * (-math.sqrt(n0 / 2.0) / n0)
-        w -= (a / n0)[:, :, None]
-        np.exp(w, out=w)
-        sums = np.matmul(masks, w)  # (i, sum, k)
-        return log2_classes - float(np.mean(np.log(sums[:, 0] / sums[:, 1]))) / math.log(2.0)
+        # overflows and no max shift is needed.  Each block runs the
+        # elementwise steps and the per-symbol matmul of the whole array
+        # on its own rows, so the sums keep their bits.
+        with self._lock:
+            w_buf, sums = self._buffers
+            for i in range(0, len(b), _MI_BLOCK):
+                rows = slice(i, i + _MI_BLOCK)
+                w = w_buf[: len(b[rows])]
+                np.multiply(b[rows], scale, out=w)
+                np.subtract(w, a_n0[rows], out=w)
+                np.exp(w, out=w)
+                np.matmul(masks[rows], w, out=sums[rows])  # (i, sum, k)
+            ratio = sums[:, 0] / sums[:, 1]
+        return log2_classes - float(np.mean(np.log(ratio))) / math.log(2.0)
 
 
 # The one curve evaluated last, keyed by the values that fix it: the
 # threshold search of each code rate starts from the MI that the rates
 # before it evaluated on the same curve, and every evaluation shares the
-# curve's SNR-free terms.  A caller keeps the curve it was handed, so a
-# thread on another curve starts a new one and never mixes two.
+# curve's SNR-free terms and buffers.  A caller keeps the curve it was
+# handed, so a thread on another curve starts a new one and never mixes
+# two; threads on one curve take turns with its buffers.
 _last_curve: tuple = (None, None)
 
 
@@ -410,6 +441,16 @@ def _inverse_interpolation(points, target: float) -> float:
     return index
 
 
+def _code_rate(code_rate: Fraction | float) -> float:
+    try:
+        rate = float(Fraction(code_rate))
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise ParameterError(f"bad code rate {code_rate!r}") from None
+    if not 0 < rate <= 1:
+        raise ParameterError(f"code rate must lie in (0, 1], got {code_rate}")
+    return rate
+
+
 def estimate_threshold(
     c: Constellation,
     stream: str,
@@ -432,12 +473,7 @@ def estimate_threshold(
     for the evaluations left to halve it down to one cell: a threshold
     takes at most 14 MI evaluations, bisection's count from cold.
     """
-    try:
-        rate = float(Fraction(code_rate))
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise ParameterError(f"bad code rate {code_rate!r}") from None
-    if not 0 < rate <= 1:
-        raise ParameterError(f"code rate must lie in (0, 1], got {code_rate}")
+    rate = _code_rate(code_rate)
     if not 0.0 <= loss_margin_db <= _MAX_LOSS_MARGIN_DB:
         raise ParameterError(
             f"loss margin must lie in [0, {_MAX_LOSS_MARGIN_DB:g}] dB, got {loss_margin_db}"
@@ -477,6 +513,28 @@ def estimate_threshold(
         mi(min(max(math.floor(k), lo + 1, hi - half), hi - 1, lo + half))
 
 
+def _thresholds_ascending(
+    c: Constellation, stream: str, rates, quality: int, loss_margin_db: float, seed: int
+) -> list[float | None]:
+    """``estimate_threshold`` of each of ``rates`` on one curve, in the
+    caller's order, None where the target is unreachable below 30 dB.
+
+    Every rate is checked before the first evaluation.  The rates are
+    solved in ascending order, so each search starts from the bracket
+    the lower target before it left on the curve, and the evaluations
+    made do not depend on the order of ``rates``.
+    """
+    found = {}
+    for rate in sorted(rates, key=_code_rate):
+        try:
+            found[rate] = estimate_threshold(
+                c, stream, rate, quality=quality, loss_margin_db=loss_margin_db, seed=seed
+            )
+        except UnreachableThresholdError:
+            break  # every higher target is unreachable too
+    return [found.get(rate) for rate in rates]
+
+
 def estimate_hierarchical_thresholds(
     rho_he: float,
     rates=DVBS2_CODE_RATES,
@@ -485,22 +543,22 @@ def estimate_hierarchical_thresholds(
     seed: int = 0,
 ) -> list[ModCod]:
     """HE and LE threshold entries for the hierarchical 16-APSK adopted
-    for ``rho_he``.  Rates whose LE threshold is unreachable below 30 dB
-    are skipped.
+    for ``rho_he``, HE first, each stream's in the order of ``rates``.
+    Rates whose threshold is unreachable below 30 dB are skipped.  Each
+    stream's rates are solved in ascending order on one curve, so at
+    rho_he = 0.80 the 22 thresholds take 58 MI evaluations whatever the
+    order of ``rates``.
     """
     mod_id = hierarchical_modulation_id(rho_he)
     c = hierarchical_constellation(mod_id)
     entries = []
     for stream in ("HE", "LE"):
-        for rate in rates:
-            try:
-                th = estimate_threshold(
-                    c, stream, rate,
-                    quality=quality, loss_margin_db=loss_margin_db, seed=seed,
-                )
-            except UnreachableThresholdError:
-                continue
-            entries.append(ModCod(mod_id, Fraction(rate), stream, round(th, 2)))
+        ths = _thresholds_ascending(c, stream, rates, quality, loss_margin_db, seed)
+        entries += [
+            ModCod(mod_id, Fraction(rate), stream, round(th, 2))
+            for rate, th in zip(rates, ths)
+            if th is not None
+        ]
     return entries
 
 
@@ -515,7 +573,9 @@ def select_pair(
     """Geometry on the energy-solution curve minimising the mean HE
     decoding threshold over ``rates``; ties go to the smaller gamma.
     A geometry whose HE stream reaches some rate only above 30 dB is
-    infeasible and skipped.
+    infeasible and skipped.  Each geometry's rates are solved in
+    ascending order on its curve, and its thresholds are added in the
+    order of ``rates``.
     """
     if not rates:
         raise ParameterError("rates must be nonempty")
@@ -526,14 +586,12 @@ def select_pair(
         if theta < 1e-9:
             continue  # outer points collapse; cannot build the constellation
         c = build_16apsk(Apsk16Params(gamma=gamma, theta_deg=theta))
-        score = 0.0
-        try:
-            for rate in rates:
-                score += estimate_threshold(
-                    c, "HE", rate, quality=quality, loss_margin_db=0.0, seed=seed
-                )
-        except UnreachableThresholdError:
+        ths = _thresholds_ascending(c, "HE", rates, quality, 0.0, seed)
+        if None in ths:
             continue
+        score = 0.0
+        for th in ths:  # plain left-to-right adds; sum() compensates from Python 3.12
+            score += th
         score /= len(rates)
         if score < best_score:
             best_score = score

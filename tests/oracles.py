@@ -11,12 +11,14 @@ CDF, which runs its own bisection.  ``best_single_rate`` reads the
 table entry by entry, and the hierarchical 16-QAM and 8-PSK are extra
 MI-kernel inputs that the threshold table cannot carry.  ``run_strategy_list`` (with
 ``strategy_b_allpairs``), ``strategy_b_heap``,
-``stream_mutual_information_dense``, ``estimate_threshold_bisect``,
-``PairRateCacheScalar``, ``run_trial_scalar`` and ``bessel_j1_series``
-are the exceptions: they are the previous implementations of the
-pairing strategies (Python lists, strategy B by sorting all pairs, then
-as a heap walk set up one receiver at a time), of the Monte-Carlo stream
-MI (one masked log-sum-exp per sum over a sample-major tensor), of the
+``stream_mutual_information_dense``, ``curve_mutual_information_whole``,
+``estimate_threshold_bisect``, ``PairRateCacheScalar``,
+``run_trial_scalar`` and ``bessel_j1_series`` are the exceptions: they
+are the previous implementations of the pairing strategies (Python
+lists, strategy B by sorting all pairs, then as a heap walk set up one
+receiver at a time), of the Monte-Carlo stream MI (one masked
+log-sum-exp per sum over a sample-major tensor, then the expanded
+distance over whole arrays at once, not block by block), of the
 threshold search (bisection of [-10, 30] dB to 0.01 dB), of the per-receiver
 trial with its memoised pair rates (``rates.operating_points`` and
 ``rates.max_min_weighted`` per bucket pair) and of J1's power series
@@ -675,6 +677,19 @@ def stream_mutual_information_dense(
     n_classes = u_sizes[0] / c_sizes[0]
     info = math.log2(n_classes) - float(np.mean(lse_u - lse_c)) / math.log(2.0)
     return info
+
+
+def curve_mutual_information_whole(curve: capacity._Curve, snr_db: float) -> float:
+    """``curve.mutual_information(snr_db)`` as one pass over the whole
+    arrays: the log-weights of every sent symbol in one new array the
+    size of ``B``, one ``exp`` and one batched matmul into new sums."""
+    a, b, masks, log2_classes = curve.terms
+    n0 = 10.0 ** (-snr_db / 10.0)  # unit symbol energy
+    w = b * (-math.sqrt(n0 / 2.0) / n0)
+    w -= (a / n0)[:, :, None]
+    np.exp(w, out=w)
+    sums = np.matmul(masks, w)  # (i, sum, k)
+    return log2_classes - float(np.mean(np.log(sums[:, 0] / sums[:, 1]))) / math.log(2.0)
 
 
 def estimate_threshold_bisect(

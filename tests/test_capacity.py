@@ -8,6 +8,8 @@ the quadrature curve.
 import gc
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +45,7 @@ from hmts.errors import ParameterError, TableError, UnreachableThresholdError
 from hmts.sim import PairRateCache
 
 from oracles import (
+    curve_mutual_information_whole,
     estimate_threshold_bisect,
     hierarchical_8psk,
     hierarchical_16qam,
@@ -68,6 +71,25 @@ KERNEL_CASES = (
     ]
 )
 
+
+def _hierarchical_6psk():
+    """Six points on the unit circle: the HE bit names the half plane and
+    the two LE bits one of its three points.  Six sent symbols end the MI
+    kernel's blocks of four in a block of two."""
+    return Constellation(
+        name="H6PSK",
+        symbols=np.exp(1j * np.pi * (np.arange(6) + 0.5) / 3),
+        labels=("000", "001", "010", "100", "101", "110"),
+        he_bits=(0,),
+        le_bits=(1, 2),
+    )
+
+
+# (constellation, stream) pairs the blocked kernel is checked on against
+# the whole-array one
+BLOCK_CASES = KERNEL_CASES + [
+    (_hierarchical_6psk(), stream) for stream in ("single", "HE", "LE")
+]
 
 
 def _extreme_examples(test):
@@ -198,6 +220,57 @@ class TestStreamMutualInformation:
         assert math.isfinite(ours)
         assert abs(ours - dense) <= 1e-12
 
+    @pytest.mark.parametrize("case", range(len(BLOCK_CASES)))
+    @settings(max_examples=8, deadline=None)
+    @given(
+        snrs=st.lists(st.floats(-10.0, 30.0), min_size=1, max_size=3),
+        quality=st.sampled_from([1000, 1001, 2000, 20000]),
+        seed=st.integers(0, 2),
+    )
+    @example(snrs=[-10.0, 30.0], quality=1001, seed=2)
+    @example(snrs=[30.0, -10.0], quality=20000, seed=0)
+    def test_blocked_kernel_equals_whole_arrays(self, case, snrs, quality, seed):
+        # several SNRs on one curve: each evaluation overwrites the
+        # buffers the one before it filled
+        c, stream = BLOCK_CASES[case]
+        curve = capacity._Curve(c, stream, quality, seed)
+        for snr_db in snrs:
+            ours = curve.mutual_information(snr_db)
+            assert ours == curve_mutual_information_whole(curve, snr_db), snr_db
+
+    def test_a_case_ends_in_a_partial_block(self):
+        sizes = {len(c.labels) for c, _ in BLOCK_CASES}
+        assert any(m % capacity._MI_BLOCK for m in sizes), sizes
+
+    def test_threads_on_one_curve_equal_serial_calls(self, apsk_08):
+        # more threads than cores evaluate one curve at once and share the
+        # buffers it keeps; each thread starts at another SNR
+        snrs = [float(s) for s in np.linspace(-10.0, 30.0, 8)]
+        _evict_curve_memo()
+        serial = [stream_mutual_information(apsk_08, "HE", s, quality=2000) for s in snrs]
+        results = {}
+
+        def evaluate(t):
+            order = snrs[t:] + snrs[:t]
+            results[t] = [
+                stream_mutual_information(apsk_08, "HE", s, quality=2000)
+                for s in order * 4
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=evaluate, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for t in range(6):
+            assert results[t] == (serial[t:] + serial[:t]) * 4, t
+
     def test_alternating_curves_equal_cold_calls(self, apsk_08):
         curves = [(apsk_08, stream) for stream in ("HE", "LE", "single")]
         snrs = (-10.0, 2.5, 11.0, 30.0)
@@ -289,6 +362,25 @@ def _evict_curve_memo():
     estimate_threshold(build_uniform("QPSK"), "single", Fraction(1, 2), quality=1000)
 
 
+# the order of --rates in the benchmark's thresholds_estimate at seed 1
+SEED1_RATE_ORDER = [
+    Fraction(r) for r in "3/4,5/6,1/4,8/9,1/2,3/5,9/10,2/3,1/3,4/5,2/5".split(",")
+]
+
+
+@pytest.fixture(scope="module")
+def cold_entries_080():
+    """The H16APSK-0.80 entry of each stream and rate at quality 2000,
+    each from a cold ``estimate_threshold`` call."""
+    c = hierarchical_constellation("H16APSK-0.80")
+    entries = {}
+    for stream, rate in itertools.product(("HE", "LE"), DVBS2_CODE_RATES):
+        _evict_curve_memo()
+        th = estimate_threshold(c, stream, rate, quality=2000)
+        entries[stream, rate] = ModCod(c.name, rate, stream, round(th, 2))
+    return entries
+
+
 class TestCurveMemo:
     @pytest.fixture
     def mi_calls(self, monkeypatch):
@@ -311,6 +403,48 @@ class TestCurveMemo:
         # curve per stream
         assert len(mi_calls) == 58
         assert len(set(mi_calls)) == len(mi_calls)
+
+    def test_evaluations_whatever_the_rate_order(self, mi_calls):
+        default = {(e.stream, e.code_rate): e for e in estimate_hierarchical_thresholds(0.8)}
+        _evict_curve_memo()
+        mi_calls.clear()
+        entries = estimate_hierarchical_thresholds(0.8, SEED1_RATE_ORDER)
+        # solved in this order instead of ascending, the rates took 71
+        assert len(mi_calls) == 58
+        assert len(set(mi_calls)) == len(mi_calls)
+        assert entries == [
+            default[stream, rate] for stream in ("HE", "LE") for rate in SEED1_RATE_ORDER
+        ]
+
+    def test_every_rate_checked_before_the_first_evaluation(self, mi_calls):
+        with pytest.raises(ParameterError, match="code rate"):
+            estimate_hierarchical_thresholds(0.8, [Fraction(1, 2), Fraction(3, 2)], quality=2000)
+        assert mi_calls == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.permutations(DVBS2_CODE_RATES))
+    @example(order=SEED1_RATE_ORDER)
+    @example(order=DVBS2_CODE_RATES[::-1])
+    def test_any_rate_order_equals_cold_calls(self, cold_entries_080, order):
+        _evict_curve_memo()
+        entries = estimate_hierarchical_thresholds(0.8, order, quality=2000)
+        assert entries == [
+            cold_entries_080[stream, rate] for stream in ("HE", "LE") for rate in order
+        ]
+
+    def test_select_pair_whatever_the_rate_order(self, mi_calls):
+        chosen, counts = [], []
+        for rates in (DVBS2_CODE_RATES, DVBS2_CODE_RATES[::-1]):
+            _evict_curve_memo()
+            mi_calls.clear()
+            chosen.append(select_pair(0.8, rates, n_grid=7, quality=2000))
+            counts.append(len(mi_calls))
+        # solved in the reversed order, the reversed rates took 231
+        # evaluations against 212
+        assert counts[1] == counts[0]
+        # what select_pair returned for the reversed rates when it solved
+        # them in that order
+        assert chosen[1] == Apsk16Params(gamma=2.333333333333333, theta_deg=28.16069277909177)
 
     def test_repeated_threshold_makes_no_evaluation(self, apsk_08, mi_calls):
         first = estimate_threshold(apsk_08, "HE", Fraction(2, 3), quality=2000)
