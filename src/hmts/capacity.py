@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -55,9 +54,10 @@ DVBS2_CODE_RATES = tuple(
     for r in [(1, 4), (1, 3), (2, 5), (1, 2), (3, 5), (2, 3), (3, 4), (4, 5), (5, 6), (8, 9), (9, 10)]
 )
 
-# Hierarchical 16-APSK geometries adopted for each HE energy fraction.
-# Each pair minimises the mean HE decoding threshold over the DVB-S2 code
-# rates along the corresponding energy-solution curve (see select_pair).
+# Hierarchical 16-APSK geometries adopted for each HE energy fraction;
+# the shipped HE/LE rows are estimate_hierarchical_thresholds at these
+# geometries with seed 0.  They are not what select_pair returns with
+# its defaults: at 0.80 it picks gamma 2.2, theta 29.03 deg.
 ADOPTED_APSK_GEOMETRY = {
     0.75: Apsk16Params(gamma=2.8, theta_deg=31.5),
     0.80: Apsk16Params(gamma=2.3, theta_deg=28.4),
@@ -304,7 +304,7 @@ def _stream_masks(c: Constellation, stream: str):
 
 class _Curve:
     """The SNR-free part of one MI curve (constellation, stream, quality,
-    seed), built on the first evaluation, and the MI by SNR that
+    seed), built on the first evaluation, and the MI by grid index that
     ``estimate_threshold`` has evaluated on it.
 
     With ``y = s_i + scale * z`` and ``d_ij = s_i - s_j``, the log-weight
@@ -313,15 +313,13 @@ class _Curve:
     ``A = |d|^2`` and ``B = 2 Re(d conj z)`` do not depend on the SNR.
     Candidates j run over the stream's universe row of i only.  An
     evaluation works through the sent symbols in blocks of
-    ``_MI_BLOCK``, in place in two buffers the curve keeps, so it
-    allocates no array of ``B``'s size.
+    ``_MI_BLOCK``, in place in one block buffer, so it allocates no
+    array of ``B``'s size.
     """
 
     def __init__(self, c: Constellation, stream: str, quality: int, seed: int):
         self._args = (c, stream, quality, seed)
-        self.memo: dict[float, float] = {}
-        # the evaluations of one curve share its buffers
-        self._lock = threading.Lock()
+        self.memo: dict[int, float] = {}
 
     @cached_property
     def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -353,17 +351,9 @@ class _Curve:
         ).astype(float)
         return a, b, masks, math.log2(u_sizes[0] / c_sizes[0])
 
-    @cached_property
-    def _buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The weights of one block of sent symbols (block, j, k) and both
-        sums of every sent symbol (i, sum, k), overwritten by each
-        evaluation."""
-        _, b, _, _ = self.terms
-        m, n_cand, per = b.shape
-        return np.empty((min(_MI_BLOCK, m), n_cand, per)), np.empty((m, 2, per))
-
     def mutual_information(self, snr_db: float) -> float:
         a, b, masks, log2_classes = self.terms
+        m, n_cand, per = b.shape
         n0 = 10.0 ** (-snr_db / 10.0)  # unit symbol energy
         scale = -math.sqrt(n0 / 2.0) / n0
         a_n0 = (a / n0)[:, :, None]
@@ -373,25 +363,24 @@ class _Curve:
         # overflows and no max shift is needed.  Each block runs the
         # elementwise steps and the per-symbol matmul of the whole array
         # on its own rows, so the sums keep their bits.
-        with self._lock:
-            w_buf, sums = self._buffers
-            for i in range(0, len(b), _MI_BLOCK):
-                rows = slice(i, i + _MI_BLOCK)
-                w = w_buf[: len(b[rows])]
-                np.multiply(b[rows], scale, out=w)
-                np.subtract(w, a_n0[rows], out=w)
-                np.exp(w, out=w)
-                np.matmul(masks[rows], w, out=sums[rows])  # (i, sum, k)
-            ratio = sums[:, 0] / sums[:, 1]
+        w_buf = np.empty((min(_MI_BLOCK, m), n_cand, per))  # (block, j, k)
+        sums = np.empty((m, 2, per))  # (i, sum, k)
+        for i in range(0, m, _MI_BLOCK):
+            rows = slice(i, i + _MI_BLOCK)
+            w = w_buf[: len(b[rows])]
+            np.multiply(b[rows], scale, out=w)
+            np.subtract(w, a_n0[rows], out=w)
+            np.exp(w, out=w)
+            np.matmul(masks[rows], w, out=sums[rows])
+        ratio = sums[:, 0] / sums[:, 1]
         return log2_classes - float(np.mean(np.log(ratio))) / math.log(2.0)
 
 
 # The one curve evaluated last, keyed by the values that fix it: the
 # threshold search of each code rate starts from the MI that the rates
 # before it evaluated on the same curve, and every evaluation shares the
-# curve's SNR-free terms and buffers.  A caller keeps the curve it was
-# handed, so a thread on another curve starts a new one and never mixes
-# two; threads on one curve take turns with its buffers.
+# curve's SNR-free terms.  A caller keeps the curve it was handed, so a
+# thread on another curve starts a new one and never mixes two.
 _last_curve: tuple = (None, None)
 
 
@@ -480,17 +469,16 @@ def estimate_threshold(
         )
     target = c.stream_bits(stream) * rate
     memo = _curve(c, stream, quality, seed).memo
-    # bisection halves the range 12 times; the grid SNRs are exact in
-    # binary, so the memo keys are the SNRs bisection would visit
+    # bisection halves the range 12 times
     levels = math.ceil(math.log2((_SNR_CEIL_DB - _SNR_FLOOR_DB) / 0.01))
     step = (_SNR_CEIL_DB - _SNR_FLOOR_DB) / 2**levels
     n_memo = len(memo)
 
     def mi(k):
-        snr = _SNR_FLOOR_DB + k * step
-        if snr not in memo:
-            memo[snr] = stream_mutual_information(c, stream, snr, quality=quality, seed=seed)
-        return memo[snr]
+        if k not in memo:
+            snr = _SNR_FLOOR_DB + k * step
+            memo[k] = stream_mutual_information(c, stream, snr, quality=quality, seed=seed)
+        return memo[k]
 
     if mi(2**levels) < target:
         raise UnreachableThresholdError(
@@ -498,7 +486,7 @@ def estimate_threshold(
             f"{_SNR_CEIL_DB} dB"
         )
     while True:
-        points = sorted((round((snr - _SNR_FLOOR_DB) / step), v) for snr, v in memo.items())
+        points = sorted(memo.items())
         # MI 0 stands in for the index -1, below the grid
         lo, v_lo = max(((k, v) for k, v in points if v < target), default=(-1, 0.0))
         hi, v_hi = next((k, v) for k, v in points if k > lo)

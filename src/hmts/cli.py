@@ -118,6 +118,14 @@ def resolve_settings(args) -> None:
         raise ParameterError(f"step must be > 0, got {args.step}")
     if args.min > args.max:
         raise ParameterError(f"grid min {args.min} exceeds grid max {args.max}")
+    try:
+        # cmd_rates_grid counts the grid's points from this quotient
+        finite = math.isfinite((args.max - args.min) / args.step)
+    except OverflowError:  # ints whose quotient is beyond float range
+        finite = False
+    if not finite:
+        raise ParameterError(f"grid {args.min:g} to {args.max:g} in steps of "
+                             f"{args.step:g} has too many points to count")
     scenario = {k: tuple(v) if isinstance(v, list) else v
                 for k, v in cfg.get("scenario", {}).items()}
     args.scenario = sim.ScenarioConfig(**scenario, seed=args.seed)

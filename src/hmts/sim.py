@@ -262,16 +262,13 @@ def _run_batch(snr_db, weight, strategies, table, seeds):
     # pairs in ascending order of their smaller position in the pool
     n_pairs = (pool // 2).repeat(len(strategies))
     snrs = np.empty((2, n_pairs.sum()))
-    # one weight, as in every preset, goes to pair_rate as it is
-    one_weight = (w_all == w_all.flat[0]).all()
-    weights = np.full((2, 1), w_all.flat[0]) if one_weight else np.empty(snrs.shape, w_all.dtype)
+    weights = np.empty(snrs.shape, w_all.dtype)
     end = 0
     for t, (v, w) in enumerate(zip(pools, pool_weights)):
         pairs = np.concatenate([_by_smaller(p[t]) for p in positions], axis=1)
         start, end = end, end + pairs.shape[1]
         snrs[:, start:end] = v[pairs]
-        if not one_weight:
-            weights[:, start:end] = w[pairs]
+        weights[:, start:end] = w[pairs]
     # nor does the lookup need the sorted rows
     del v_all, w_all, pools, pool_weights, positions
     pair_inv = 1.0 / cache.pair_rate(*snrs, *weights)

@@ -10,6 +10,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -230,8 +231,8 @@ class TestStreamMutualInformation:
     @example(snrs=[-10.0, 30.0], quality=1001, seed=2)
     @example(snrs=[30.0, -10.0], quality=20000, seed=0)
     def test_blocked_kernel_equals_whole_arrays(self, case, snrs, quality, seed):
-        # several SNRs on one curve: each evaluation overwrites the
-        # buffers the one before it filled
+        # several SNRs on one curve, each evaluated on the terms the
+        # first one built
         c, stream = BLOCK_CASES[case]
         curve = capacity._Curve(c, stream, quality, seed)
         for snr_db in snrs:
@@ -242,9 +243,22 @@ class TestStreamMutualInformation:
         sizes = {len(c.labels) for c, _ in BLOCK_CASES}
         assert any(m % capacity._MI_BLOCK for m in sizes), sizes
 
+    def test_one_evaluation_allocates_less_than_b(self, apsk_08):
+        # HE only: LE's B (0.64 MB) is smaller than its sums array
+        curve = capacity._Curve(apsk_08, "HE", capacity.DEFAULT_MI_QUALITY, 0)
+        b = curve.terms[1]
+        tracemalloc.start()
+        try:
+            curve.mutual_information(8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b.nbytes, (peak, b.nbytes)
+
     def test_threads_on_one_curve_equal_serial_calls(self, apsk_08):
-        # more threads than cores evaluate one curve at once and share the
-        # buffers it keeps; each thread starts at another SNR
+        # more threads than cores evaluate one curve at once, each thread
+        # starting at another SNR: an evaluation shares nothing it writes,
+        # so a scratch array kept on the curve would show here
         snrs = [float(s) for s in np.linspace(-10.0, 30.0, 8)]
         _evict_curve_memo()
         serial = [stream_mutual_information(apsk_08, "HE", s, quality=2000) for s in snrs]

@@ -26,6 +26,12 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def read_csv(path, reader=csv.DictReader):
+    """Every row of the CSV file at ``path``, the file closed."""
+    with open(path, newline="") as fh:
+        return list(reader(fh))
+
+
 class TestConstellationCommand:
     def test_solution_curves(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -38,7 +44,7 @@ class TestConstellationCommand:
         assert len(files) == 2
         curves = {}
         for path in files:
-            rows = list(csv.DictReader(open(path)))
+            rows = read_csv(path)
             curves[path.name] = [(float(r["gamma"]), float(r["theta_deg"])) for r in rows]
         c08 = curves["solution_rho0.8.csv"]
         c09 = curves["solution_rho0.9.csv"]
@@ -56,7 +62,7 @@ class TestConstellationCommand:
         )
         assert code == 0
         (path,) = tmp_path.glob("constellation_*.csv")
-        rows = list(csv.DictReader(open(path)))
+        rows = read_csv(path)
         assert len(rows) == 16
         energy = np.mean([float(r["I"]) ** 2 + float(r["Q"]) ** 2 for r in rows])
         assert energy == pytest.approx(1.0, abs=1e-9)
@@ -84,7 +90,7 @@ class TestThresholdsCommand:
         path = tmp_path / "thresholds_estimated.csv"
         lines = path.read_text().splitlines()
         assert lines[0] == "modulation,code_rate,stream,threshold_db"
-        rows = list(csv.DictReader(open(path)))
+        rows = read_csv(path)
         assert {r["stream"] for r in rows} == {"HE", "LE"}
         assert all(r["modulation"] == "H16APSK-0.80" for r in rows)
         # emitted files round-trip through the loader
@@ -202,14 +208,14 @@ class TestRatesCommand:
             capsys,
         )
         assert code == 0
-        rows = list(csv.DictReader(open(tmp_path / "rates_gain_grid.csv")))
+        rows = read_csv(tmp_path / "rates_gain_grid.csv")
         gains = [float(r["gain"]) for r in rows if r["gain"] != ""]
         assert gains and all(g >= 0.0 for g in gains)
 
     def test_default_grid_has_no_negative_gain(self, tmp_path, capsys):
         code, _, _ = run_cli(["--out-dir", str(tmp_path), "rates", "grid"], capsys)
         assert code == 0
-        rows = list(csv.DictReader(open(tmp_path / "rates_gain_grid.csv")))
+        rows = read_csv(tmp_path / "rates_gain_grid.csv")
         gains = {(r["snr1_db"], r["snr2_db"]): r["gain"] for r in rows}
         # 9 and 10 dB share their best single rate and their pair rate,
         # and r_hm / r_ts - 1 rounds to -1.1e-16 there
@@ -239,7 +245,7 @@ class TestRatesCommand:
         )
         assert code == 0
         grid = {(r["snr1_db"], r["snr2_db"]): r["gain"]
-                for r in csv.DictReader(open(tmp_path / "rates_gain_grid.csv"))}
+                for r in read_csv(tmp_path / "rates_gain_grid.csv")}
         for s1, s2 in pairs:
             code, _, err = run_cli(
                 ["--out-dir", str(tmp_path), "rates", "pair",
@@ -300,7 +306,7 @@ class TestPairingCommand:
         )
         assert code == 0
         assert "delta_avg = 8" in out
-        rows = list(csv.reader(open(tmp_path / "pairing_A.csv")))
+        rows = read_csv(tmp_path / "pairing_A.csv", csv.reader)
         assert rows[0] == ["receiver_i", "receiver_j", "snr_i_db", "snr_j_db", "delta_db"]
 
     def test_population_file_input(self, tmp_path, capsys):
@@ -700,7 +706,7 @@ class TestSettingsPrecedence:
             capsys,
         )
         assert code == 0
-        rows = list(csv.DictReader(open(tmp_path / "rates_gain_grid.csv")))
+        rows = read_csv(tmp_path / "rates_gain_grid.csv")
         assert len(rows) == 9 * 10 // 2  # 4, 5, ..., 12 dB
         assert {r["snr1_db"] for r in rows} == {str(k) for k in range(4, 13)}
 
@@ -805,6 +811,8 @@ def test_every_preset_builds_scenario_and_beam():
     (["rates", "pair", "--snr1", "nan", "--snr2", "10"], None),
     (["rates", "pair", "--snr1", "inf", "--snr2", "10"], None),
     (["rates", "grid", "--min", "5", "--max", "4"], None),
+    (["rates", "grid", "--min", "0", "--max", "1e300", "--step", "1e-300"], None),
+    (["rates", "grid", "--min=-1e308", "--max=1e308", "--step", "1"], None),
     (["thresholds", "estimate", "--rho", "0.8", "--rates", "abc"], None),
     (["thresholds", "estimate", "--rho", "0.8", "--rates", "1/0"], None),
     (["pairing", "--strategy", "C", "--seed", "-1", "--snrs", "1,2,3,4"], None),
@@ -813,9 +821,11 @@ def test_every_preset_builds_scenario_and_beam():
     (["pairing", "--strategy", "C", "--snrs", "1,2,3,4"], {"seed": True}),
     (["rates", "pair"], {"pair": {"snr1": True, "snr2": 10}}),
     (["rates", "grid"], {"grid": {"snr_max": 10**400}}),
+    (["rates", "grid"], {"grid": {"snr_min": -10**308, "snr_max": 10**308, "step": 1}}),
 ], ids=["grid-min-nan", "grid-step-nan", "pair-snr1-nan", "pair-snr1-inf", "grid-min-above-max",
+        "grid-count-overflow", "grid-span-overflow",
         "rates-abc", "rates-1/0", "seed-negative", "config-snr1-string", "config-step-nan",
-        "config-seed-true", "config-snr1-true", "config-max-huge-int"])
+        "config-seed-true", "config-snr1-true", "config-max-huge-int", "config-int-span-overflow"])
 def test_bad_numeric_input_exit_2(argv, config, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "cfg.json"
