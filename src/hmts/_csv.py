@@ -1,8 +1,9 @@
 """CSV input and output shared by the data readers and writers.
 
-Readers skip blank lines and ``#`` comment lines and check the header;
-writers go through a temp file in the target directory and a rename, so
-a failed write leaves the target as it was.
+Readers skip blank lines and ``#`` comment lines and check the header.
+Every file the package writes goes through ``write_rows``: a temp file
+in the target directory and a rename, so a failed write leaves the
+target as it was.
 """
 
 from __future__ import annotations
@@ -51,3 +52,15 @@ def atomic_writer(path):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_rows(path, header, rows):
+    """Write ``header`` and then ``rows`` to ``path`` as CSV, atomically.
+
+    ``rows`` may be any iterable, generators included; it is consumed
+    as it is written.
+    """
+    with atomic_writer(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -12,7 +12,6 @@ already decoded and acts on the points of one quadrant only.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._csv import atomic_writer, read_rows
+from ._csv import read_rows, write_rows
 from .constellation import Apsk16Params, Constellation, build_16apsk, solution_set
 from .errors import ParameterError, TableError, UnreachableThresholdError
 
@@ -250,13 +249,10 @@ def load_thresholds(path: str | os.PathLike) -> ThresholdTable:
 
 
 def save_thresholds(table: ThresholdTable, path: str | os.PathLike) -> None:
-    with atomic_writer(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TABLE_HEADER)
-        for e in table.entries:
-            writer.writerow(
-                [e.modulation, str(e.code_rate), e.stream, f"{e.threshold_db:.2f}"]
-            )
+    write_rows(path, _TABLE_HEADER, (
+        [e.modulation, str(e.code_rate), e.stream, f"{e.threshold_db:.2f}"]
+        for e in table.entries
+    ))
 
 
 def default_table() -> ThresholdTable:

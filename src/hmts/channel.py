@@ -8,7 +8,6 @@ professional terminals.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import math
@@ -19,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._csv import atomic_writer, read_rows
+from ._csv import read_rows, write_rows
 from .errors import ParameterError
 
 __all__ = [
@@ -316,11 +315,8 @@ def generate_populations(
 
 
 def write_population(population: Population, path: str | os.PathLike) -> None:
-    with atomic_writer(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_POPULATION_HEADER)
-        rows = zip(*(a.tolist() for a in population))
-        writer.writerows((f"{s:.10g}", _CLASSES[p], w) for s, w, p in rows)
+    rows = zip(*(a.tolist() for a in population))
+    write_rows(path, _POPULATION_HEADER, ((f"{s:.10g}", _CLASSES[p], w) for s, w, p in rows))
 
 
 def read_population(path: str | os.PathLike) -> Population:

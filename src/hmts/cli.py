@@ -8,7 +8,6 @@ parameters or configuration, 3 degenerate receiver data.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -20,7 +19,7 @@ from importlib import resources
 import numpy as np
 
 from . import capacity, channel, pairing, rates, sim
-from ._csv import atomic_writer
+from ._csv import write_rows
 from .constellation import Apsk16Params, build_16apsk, solution_set
 from .errors import DegenerateRateError, ParameterError, TableError
 
@@ -202,16 +201,13 @@ def cmd_rates_pair(args) -> int:
     gain = rates.hierarchical_gain(r_hm, r_ts)
     hull = rates.augmented_hull([(p.r1, p.r2) for p in points])
     path = _out_path(args, f"rates_pair_{snr1:g}_{snr2:g}.csv")
-    with atomic_writer(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "r1", "r2", "source"])
-        for p in points:
-            writer.writerow(["point", f"{p.r1:.10g}", f"{p.r2:.10g}", p.source])
-        for x, y in hull:
-            writer.writerow(["hull", f"{x:.10g}", f"{y:.10g}", ""])
-        writer.writerow(["r_ts", f"{r_ts:.10g}", f"{r_ts:.10g}", ""])
-        writer.writerow(["r_hm", f"{r_hm:.10g}", f"{r_hm:.10g}", ""])
-        writer.writerow(["gain", f"{gain:.10g}", "", ""])
+    write_rows(path, ["kind", "r1", "r2", "source"], [
+        *(["point", f"{p.r1:.10g}", f"{p.r2:.10g}", p.source] for p in points),
+        *(["hull", f"{x:.10g}", f"{y:.10g}", ""] for x, y in hull),
+        ["r_ts", f"{r_ts:.10g}", f"{r_ts:.10g}", ""],
+        ["r_hm", f"{r_hm:.10g}", f"{r_hm:.10g}", ""],
+        ["gain", f"{gain:.10g}", "", ""],
+    ])
     print(path)
     return 0
 
@@ -222,20 +218,19 @@ def cmd_rates_grid(args) -> int:
     grid = args.min + np.arange(n + 1) * args.step
     labels = [f"{s:.10g}" for s in grid.tolist()]
     single = cache.best_single_rate(grid)
-    path = _out_path(args, "rates_gain_grid.csv")
-    with atomic_writer(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr1_db", "snr2_db", "gain"])
+
+    def rows():
         for s1, label, r1 in zip(grid.tolist(), labels, single.tolist()):
             cols = np.flatnonzero(grid >= s1)
             served = (single[cols] > 0) & (r1 > 0)
             gains = np.zeros(len(cols))
             r_ts = rates.ts_rate_two(r1, single[cols[served]])
             gains[served] = rates.hierarchical_gain(cache.pair_rate(s1, grid[cols[served]]), r_ts)
-            writer.writerows(
-                (label, labels[c], f"{g:.10g}" if ok else "")
-                for c, g, ok in zip(cols.tolist(), gains.tolist(), served.tolist())
-            )
+            for c, g, ok in zip(cols.tolist(), gains.tolist(), served.tolist()):
+                yield label, labels[c], f"{g:.10g}" if ok else ""
+
+    path = _out_path(args, "rates_gain_grid.csv")
+    write_rows(path, ["snr1_db", "snr2_db", "gain"], rows())
     print(path)
     return 0
 
@@ -251,28 +246,20 @@ def _parse_snrs(value: str) -> list[float]:
 
 def _parse_code_rates(value: str) -> list[Fraction]:
     try:
-        code_rates = [Fraction(r) for r in value.split(",")]
+        return [Fraction(r) for r in value.split(",")]
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse code rates {value!r}") from None
-    # every rate is checked before the first threshold is estimated
-    for rate in code_rates:
-        if not 0 < rate <= 1:
-            raise argparse.ArgumentTypeError(f"code rate must lie in (0, 1], got {rate}")
-    return code_rates
 
 
 def cmd_pairing(args) -> int:
     snrs = _parse_snrs(args.snrs)
     plan = pairing.run_strategy(args.strategy, snrs, seed=args.seed)
     path = _out_path(args, f"pairing_{args.strategy}.csv")
-    with atomic_writer(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["receiver_i", "receiver_j", "snr_i_db", "snr_j_db", "delta_db"])
-        for i, j in plan.pairs:
-            writer.writerow(
-                [i, j, f"{snrs[i]:.10g}", f"{snrs[j]:.10g}", f"{abs(snrs[i] - snrs[j]):.10g}"]
-            )
-        writer.writerow(["delta_avg", "", "", "", f"{plan.delta_avg:.10g}"])
+    write_rows(path, ["receiver_i", "receiver_j", "snr_i_db", "snr_j_db", "delta_db"], [
+        *([i, j, f"{snrs[i]:.10g}", f"{snrs[j]:.10g}", f"{abs(snrs[i] - snrs[j]):.10g}"]
+          for i, j in plan.pairs),
+        ["delta_avg", "", "", "", f"{plan.delta_avg:.10g}"],
+    ])
     print(f"delta_avg = {plan.delta_avg:.6g} dB")
     print(path)
     return 0

@@ -14,14 +14,13 @@ and ``solve_theta`` inverts that relation at fixed ``gamma``.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._csv import atomic_writer
+from ._csv import write_rows
 from .errors import ParameterError, SymbolOverlapError
 
 __all__ = [
@@ -119,11 +118,10 @@ class Constellation:
 
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write ``symbol_index,I,Q,bits`` rows."""
-        with atomic_writer(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["symbol_index", "I", "Q", "bits"])
-            for k, (sym, lab) in enumerate(zip(self.symbols, self.labels)):
-                writer.writerow([k, f"{sym.real:.12g}", f"{sym.imag:.12g}", lab])
+        write_rows(path, ["symbol_index", "I", "Q", "bits"], (
+            [k, f"{sym.real:.12g}", f"{sym.imag:.12g}", lab]
+            for k, (sym, lab) in enumerate(zip(self.symbols, self.labels))
+        ))
 
 
 @dataclass(frozen=True)
@@ -140,11 +138,8 @@ class EnergySolution:
         object.__setattr__(self, "curve", curve)
 
     def to_csv(self, path: str | os.PathLike) -> None:
-        with atomic_writer(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gamma", "theta_deg"])
-            for g, t in self.curve:
-                writer.writerow([f"{g:.12g}", f"{t:.12g}"])
+        write_rows(path, ["gamma", "theta_deg"],
+                   ([f"{g:.12g}", f"{t:.12g}"] for g, t in self.curve))
 
 
 def energy_fraction(gamma: float, theta_deg: float) -> float:
@@ -202,16 +197,21 @@ def gamma_limit(rho_he: float) -> float:
 def solution_set(rho_he: float, n_samples: int = 512, gamma_cap: float = 5.0) -> EnergySolution:
     """Sample the (gamma, theta) solution curve uniformly in gamma.
 
-    The gamma range is [1, min(gamma_cap, gamma_limit)]; large ring ratios
-    are unrealistic in practice, hence the cap (default 5).
+    The gamma range is [1, min(gamma_cap, gamma_limit)], which must be
+    finite; large ring ratios are unrealistic in practice, hence the cap
+    (default 5).
     """
     _check_rho(rho_he)
     if n_samples < 2:
         raise ParameterError(f"n_samples must be >= 2, got {n_samples}")
-    if gamma_cap < 1.0:
+    if math.isnan(gamma_cap) or gamma_cap < 1.0:
         raise ParameterError(f"gamma_cap must be >= 1, got {gamma_cap}")
     lim = gamma_limit(rho_he)
     hi = min(gamma_cap, lim)
+    if math.isinf(hi):
+        raise ParameterError(
+            f"gamma_cap must be finite at rho_he={rho_he}, where gamma_limit is inf"
+        )
     gammas = np.linspace(1.0, hi, n_samples)
     thetas = np.array([solve_theta(g, rho_he) for g in gammas])
     return EnergySolution(rho_he=rho_he, gamma_lim=lim, curve=np.column_stack([gammas, thetas]))

@@ -11,14 +11,13 @@ schemes and counted.
 
 from __future__ import annotations
 
-import csv
 import functools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import atomic_writer
+from ._csv import write_rows
 from .capacity import ThresholdTable, _parse_hier_rho, default_table
 from .channel import (
     _MAX_WEIGHT,
@@ -140,29 +139,21 @@ class GainReport:
         ]
 
     def to_csv(self, path: str | os.PathLike) -> None:
-        with atomic_writer(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["snr_max_db", "strategy", "share", "trial",
-                 "classical_rate", "hier_rate", "gain"]
-            )
-            for r in self.records:
-                writer.writerow(
-                    [f"{r.snr_max_db:.10g}", r.strategy, f"{r.share:.10g}", r.trial,
-                     f"{r.classical_rate:.10g}", f"{r.hier_rate:.10g}", f"{r.gain:.10g}"]
-                )
+        write_rows(
+            path,
+            ["snr_max_db", "strategy", "share", "trial", "classical_rate", "hier_rate", "gain"],
+            ([f"{r.snr_max_db:.10g}", r.strategy, f"{r.share:.10g}", r.trial,
+              f"{r.classical_rate:.10g}", f"{r.hier_rate:.10g}", f"{r.gain:.10g}"]
+             for r in self.records),
+        )
 
     def summary_to_csv(self, path: str | os.PathLike) -> None:
-        with atomic_writer(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["snr_max_db", "strategy", "share", "mean_gain", "min_gain", "max_gain"]
-            )
-            for snr, strat, share, mean, lo, hi in self.summary_rows():
-                writer.writerow(
-                    [f"{snr:.10g}", strat, f"{share:.10g}",
-                     f"{mean:.10g}", f"{lo:.10g}", f"{hi:.10g}"]
-                )
+        write_rows(
+            path,
+            ["snr_max_db", "strategy", "share", "mean_gain", "min_gain", "max_gain"],
+            ([f"{snr:.10g}", strat, f"{share:.10g}", f"{mean:.10g}", f"{lo:.10g}", f"{hi:.10g}"]
+             for snr, strat, share, mean, lo, hi in self.summary_rows()),
+        )
 
 
 # trials x receivers per batch of run_scenario, 16 trials of 500: on the

@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from hmts import capacity, channel
+from hmts import capacity, channel, rates
 from hmts.capacity import default_table
 from hmts.channel import BeamConfig
 from hmts.cli import main, resolve_settings
@@ -263,6 +263,25 @@ class TestRatesCommand:
             path = tmp_path / f"rates_pair_{s1:g}_{s2:g}.csv"
             assert path.read_text().splitlines()[-1] == f"gain,{expected},,"
             assert on_grid == expected
+
+    def test_grid_failing_part_way_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "rates_gain_grid.csv"
+        path.write_bytes(b"old,bytes\r\n")
+        gain, calls = rates.hierarchical_gain, []
+
+        def fail_on_second_row(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                assert list(tmp_path.glob("*.tmp"))  # the first row went out
+                raise RuntimeError("second row")
+            return gain(*args)
+
+        monkeypatch.setattr(rates, "hierarchical_gain", fail_on_second_row)
+        with pytest.raises(RuntimeError, match="second row"):
+            main(["--out-dir", str(tmp_path), "rates", "grid",
+                  "--min", "6", "--max", "9", "--step", "1"])
+        assert path.read_bytes() == b"old,bytes\r\n"
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_missing_snrs(self, tmp_path, capsys):
         code, _, err = run_cli(["--out-dir", str(tmp_path), "rates", "pair"], capsys)
@@ -816,6 +835,8 @@ def test_every_preset_builds_scenario_and_beam():
     (["thresholds", "estimate", "--rho", "0.8", "--rates", "abc"], None),
     (["thresholds", "estimate", "--rho", "0.8", "--rates", "1/0"], None),
     (["pairing", "--strategy", "C", "--seed", "-1", "--snrs", "1,2,3,4"], None),
+    (["constellation", "--rho", "0.8", "--gamma-cap", "nan"], None),
+    (["constellation", "--rho", "0.7", "--gamma-cap", "inf"], None),
     (["rates", "pair"], {"pair": {"snr1": "7", "snr2": 10}}),
     (["rates", "grid"], {"grid": {"step": float("nan")}}),
     (["pairing", "--strategy", "C", "--snrs", "1,2,3,4"], {"seed": True}),
@@ -824,7 +845,8 @@ def test_every_preset_builds_scenario_and_beam():
     (["rates", "grid"], {"grid": {"snr_min": -10**308, "snr_max": 10**308, "step": 1}}),
 ], ids=["grid-min-nan", "grid-step-nan", "pair-snr1-nan", "pair-snr1-inf", "grid-min-above-max",
         "grid-count-overflow", "grid-span-overflow",
-        "rates-abc", "rates-1/0", "seed-negative", "config-snr1-string", "config-step-nan",
+        "rates-abc", "rates-1/0", "seed-negative", "gamma-cap-nan", "gamma-cap-inf-unbounded",
+        "config-snr1-string", "config-step-nan",
         "config-seed-true", "config-snr1-true", "config-max-huge-int", "config-int-span-overflow"])
 def test_bad_numeric_input_exit_2(argv, config, tmp_path, capsys):
     if config is not None:

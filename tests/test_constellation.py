@@ -108,6 +108,18 @@ class TestSolutionSet:
         with pytest.raises(ParameterError):
             solution_set(0.8, n_samples=1)
 
+    @pytest.mark.parametrize("rho, cap", [
+        (0.8, math.nan), (0.7, math.nan), (0.7, math.inf), (0.75, math.inf), (0.8, 0.5),
+    ])
+    def test_rejects_cap_without_a_finite_range(self, rho, cap):
+        with pytest.raises(ParameterError, match="^gamma_cap must be"):
+            solution_set(rho, n_samples=5, gamma_cap=cap)
+
+    def test_infinite_cap_stops_at_the_limit(self):
+        sol = solution_set(0.8, n_samples=3, gamma_cap=math.inf)
+        assert sol.curve[-1, 0] == gamma_limit(0.8)
+        assert sol.curve[-1, 1] == 0.0
+
 
 class TestEnergyEquationProperties:
     def test_round_trip_residual(self):

@@ -1,12 +1,15 @@
 """Shared CSV reader and atomic writer tests."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hmts._csv import atomic_writer
+import hmts
+from hmts._csv import atomic_writer, write_rows
 from hmts.capacity import ModCod, load_thresholds, save_thresholds
 from hmts.channel import Population, WeatherCdf, read_population, write_population
 from hmts.constellation import Constellation, EnergySolution
@@ -24,6 +27,9 @@ def _record(gain):
 
 
 WRITERS = {
+    "write_rows": lambda path: write_rows(
+        path, ["x"], ([float(x)] for x in ("1.5", BAD))
+    ),
     "save_thresholds": lambda path: save_thresholds(
         SimpleNamespace(entries=[
             ModCod("QPSK", Fraction(1, 2), "single", 1.0),
@@ -71,11 +77,41 @@ def test_failed_write_leaves_target_untouched(tmp_path, writer, old):
 
 def test_writer_replaces_target_and_creates_directories(tmp_path):
     path = tmp_path / "new" / "dir" / "out.csv"
-    for text in ("first\n", "second\n"):
+    rows_path = tmp_path / "rows" / "dir" / "out.csv"
+    for text in ("first", "second"):
         with atomic_writer(path) as fh:
-            fh.write(text)
-        assert path.read_text() == text
-    assert sorted(p.name for p in path.parent.iterdir()) == ["out.csv"]
+            fh.write(f"{text}\n")
+        assert path.read_text() == f"{text}\n"
+        write_rows(rows_path, [text, "x"], iter([[1, 2.5]]))
+        assert rows_path.read_bytes() == f"{text},x\r\n1,2.5\r\n".encode()
+    for written in (path, rows_path):
+        assert sorted(p.name for p in written.parent.iterdir()) == ["out.csv"]
+
+
+def test_only_the_csv_module_writes_csv():
+    """The CSV dialect and the temp-file-and-rename protocol live in
+    ``_csv`` alone: no other package module imports ``csv`` or names
+    ``atomic_writer``, so every writer goes through ``write_rows``."""
+    found = []
+    for path in sorted(Path(hmts.__file__).parent.glob("*.py")):
+        if path.name == "_csv.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+                if node.level == 0:
+                    names.append(node.module.split(".")[0])
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno}: {name}"
+                         for name in names if name in ("csv", "atomic_writer"))
+    assert found == []
 
 
 @pytest.mark.parametrize(
